@@ -135,7 +135,19 @@ cargo run --release --offline -p slopt-cli -- search --stress --seed 42 \
     --jobs 4 > "$SEARCH_J4"
 cmp "$SEARCH_J1" "$SEARCH_J4"
 grep -q "strictly better objective than greedy on 2/2 structs" "$SEARCH_J1"
+# The golden pins the whole table, not just the verdict line.
+cmp tests/data/search_stress_seed42.golden.txt "$SEARCH_J1" \
+    || { echo "search --stress --seed 42 drifted from its golden"; exit 1; }
 rm -f "$SEARCH_J1" "$SEARCH_J4"
+
+echo "== figures golden (slopt-tool figures --jobs 2, byte for byte) =="
+# The benchmark digests this output but only warns on a change; this
+# step fails instead. A deliberate change regenerates the golden.
+FIGURES_TMP="$(mktemp /tmp/slopt_figures.XXXXXX.txt)"
+./target/release/slopt-tool figures --jobs 2 > "$FIGURES_TMP" 2> /dev/null
+cmp tests/data/figures_jobs2.golden.txt "$FIGURES_TMP" \
+    || { echo "slopt-tool figures drifted from its golden"; exit 1; }
+rm -f "$FIGURES_TMP"
 
 echo "== perf_report --quick --jobs 4 (refresh BENCH_sim.json) + perf_guard =="
 BASELINE_TMP="$(mktemp /tmp/slopt_bench_baseline.XXXXXX.json)"

@@ -9,7 +9,7 @@ use slopt_ir::cfg::{BlockId, FuncId};
 use slopt_ir::interp::SplitMix64;
 use slopt_ir::source::SourceLine;
 use slopt_ir::types::{FieldIdx, FieldType, PrimType, RecordId, RecordType};
-use slopt_sample::{concurrency_map, concurrency_map_naive, ConcurrencyConfig, Sample};
+use slopt_sample::{concurrency_map, concurrency_map_reference, ConcurrencyConfig, Sample};
 use slopt_sim::{CacheConfig, CpuId, LatencyModel, MemSystem, Topology};
 
 fn record_u64(n: usize) -> RecordType {
@@ -102,8 +102,9 @@ fn bench_concurrency(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("concurrency_map", n), &n, |b, _| {
             b.iter(|| concurrency_map(&samples, &cfg))
         });
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            b.iter(|| concurrency_map_naive(&samples, &cfg))
+        // The frozen perf baseline; the naive map is a test oracle only.
+        group.bench_with_input(BenchmarkId::new("reference", n), &n, |b, _| {
+            b.iter(|| concurrency_map_reference(&samples, &cfg))
         });
     }
     group.finish();

@@ -77,19 +77,26 @@ impl std::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Reads a registered extra flag's value strictly: `default` when the
-/// flag is absent, its last occurrence's value parsed as `T` otherwise,
-/// and a positional [`ArgError`] — never a silent fallback to the
-/// default — when that value does not parse. `args` excludes the program
-/// name, as in [`CommonArgs::parse_with`].
+/// Reads a registered extra flag's value strictly: `None` when the flag
+/// is absent, its last occurrence's value parsed as `T` otherwise, and a
+/// positional [`ArgError`] — never a silent fallback — when that value
+/// is missing or does not parse. `args` excludes the program name, as in
+/// [`CommonArgs::parse_with`]. This is the one flag-value reader of every
+/// binary and `slopt-tool` subcommand.
 pub fn extra_flag<T: std::str::FromStr>(
     args: &[String],
     flag: &str,
-    default: T,
-) -> Result<T, ArgError> {
-    let Some(i) = args.iter().rposition(|a| a == flag) else {
-        return Ok(default);
-    };
+) -> Result<Option<T>, ArgError> {
+    args.iter()
+        .rposition(|a| a == flag)
+        .map(|i| value_at(args, i, flag))
+        .transpose()
+}
+
+/// The value slot after the flag at `args[i]`, parsed as `T`; errors are
+/// positional (1-based): the flag's own slot when the value is missing,
+/// the value's slot when it does not parse.
+fn value_at<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> Result<T, ArgError> {
     let raw = args.get(i + 1).ok_or_else(|| ArgError {
         pos: i + 1,
         msg: format!("{flag} needs a value"),
@@ -173,13 +180,6 @@ impl CommonArgs {
         let mut fault_plan: Option<FaultPlan> = None;
         let mut max_retries: Option<u32> = None;
         let mut deadline: Option<Duration> = None;
-        // The value slot of a `--flag value` pair, 1-based for messages.
-        let value = |i: usize, flag: &str| -> Result<&String, ArgError> {
-            args.get(i + 1).ok_or(ArgError {
-                pos: i + 1,
-                msg: format!("{flag} needs a value"),
-            })
-        };
         let mut i = 0;
         while i < args.len() {
             let flag = args[i].as_str();
@@ -189,58 +189,35 @@ impl CommonArgs {
                 "--stats" => out.stats = true,
                 "--resume" => out.resume = true,
                 "--scale" => {
-                    let raw = value(i, flag)?;
-                    out.scale = raw.parse().map_err(|_| ArgError {
-                        pos,
-                        msg: format!(
-                            "bad value `{raw}` for --scale (expected an unsigned integer)"
-                        ),
-                    })?;
+                    out.scale = value_at(args, i, flag)?;
                     i += 1;
                 }
                 "--jobs" => {
-                    let raw = value(i, flag)?;
-                    let jobs: usize = raw.parse().map_err(|_| ArgError {
-                        pos,
-                        msg: format!("bad value `{raw}` for --jobs (expected an unsigned integer)"),
-                    })?;
-                    out.jobs = jobs.max(1);
+                    out.jobs = value_at::<usize>(args, i, flag)?.max(1);
                     i += 1;
                 }
                 "--trace-out" => {
-                    out.trace_out = Some(value(i, flag)?.clone());
+                    out.trace_out = Some(value_at(args, i, flag)?);
                     i += 1;
                 }
                 "--checkpoint-dir" => {
-                    out.checkpoint_dir = Some(value(i, flag)?.clone());
+                    out.checkpoint_dir = Some(value_at(args, i, flag)?);
                     i += 1;
                 }
                 "--fault-plan" => {
-                    let raw = value(i, flag)?;
-                    fault_plan = Some(FaultPlan::parse(raw).map_err(|e| ArgError {
+                    let raw: String = value_at(args, i, flag)?;
+                    fault_plan = Some(FaultPlan::parse(&raw).map_err(|e| ArgError {
                         pos,
                         msg: format!("bad value for --fault-plan: {e}"),
                     })?);
                     i += 1;
                 }
                 "--max-retries" => {
-                    let raw = value(i, flag)?;
-                    max_retries = Some(raw.parse().map_err(|_| ArgError {
-                        pos,
-                        msg: format!(
-                            "bad value `{raw}` for --max-retries (expected an unsigned integer)"
-                        ),
-                    })?);
+                    max_retries = Some(value_at(args, i, flag)?);
                     i += 1;
                 }
                 "--deadline-ms" => {
-                    let raw = value(i, flag)?;
-                    let ms: u64 = raw.parse().map_err(|_| ArgError {
-                        pos,
-                        msg: format!(
-                            "bad value `{raw}` for --deadline-ms (expected a positive integer)"
-                        ),
-                    })?;
+                    let ms: u64 = value_at(args, i, flag)?;
                     if ms == 0 {
                         return Err(ArgError {
                             pos,
@@ -256,7 +233,7 @@ impl CommonArgs {
                         // parses it from the raw argv itself; we only
                         // step over it (and its value slot).
                         if takes_value {
-                            value(i, flag)?;
+                            value_at::<String>(args, i, flag)?;
                             i += 1;
                         }
                     } else if flag.starts_with('-') && flag.len() > 1 {
@@ -483,6 +460,23 @@ mod tests {
         // Unregistered flags are still rejected even with extras given.
         let err = CommonArgs::parse_with(&strs(&["--chains", "4"]), extras).unwrap_err();
         assert_eq!(err.pos, 1);
+    }
+
+    #[test]
+    fn extra_flag_reads_the_last_occurrence_strictly() {
+        let args = strs(&["--seed", "1", "--out", "/tmp/x", "--seed", "7"]);
+        assert_eq!(extra_flag::<u64>(&args, "--seed"), Ok(Some(7)));
+        assert_eq!(
+            extra_flag::<String>(&args, "--out"),
+            Ok(Some("/tmp/x".to_string()))
+        );
+        assert_eq!(extra_flag::<u64>(&args, "--cpus"), Ok(None));
+        let err = extra_flag::<u64>(&strs(&["--jobs", "2", "--seed", "x"]), "--seed").unwrap_err();
+        assert_eq!(err.pos, 4);
+        assert!(err.msg.contains("`x`"), "{err}");
+        let err = extra_flag::<u64>(&strs(&["--seed"]), "--seed").unwrap_err();
+        assert_eq!(err.pos, 1);
+        assert!(err.msg.contains("needs a value"), "{err}");
     }
 
     #[test]

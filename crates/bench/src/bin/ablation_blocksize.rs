@@ -12,7 +12,7 @@
 //! Usage: `cargo run --release -p slopt-bench --bin ablation_blocksize [-- --help]` —
 //! accepts the shared execution-context flags ([`slopt_bench::args`]).
 
-use slopt_bench::{figure_setup, measure_cells, require_complete, Cell, CommonArgs};
+use slopt_bench::{figure_setup, measure_complete, Cell, CommonArgs};
 use slopt_sim::CacheConfig;
 use slopt_workload::{
     baseline_layouts, compute_paper_layouts_jobs_obs, layouts_with, LayoutKind, Machine, SdetConfig,
@@ -75,18 +75,14 @@ fn main() {
         }
     }
 
-    let outcome = measure_cells(
+    let measured = measure_complete(
         &ctx,
         "ablation_blocksize",
         &setup.kernel,
         &cells,
         setup.runs,
     )
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let measured = require_complete("ablation_blocksize", &ctx, &cells, outcome);
+    .unwrap_or_else(|e| e.exit(&ctx));
 
     println!("=== ablation: coherence block size, struct A (128-way) ===");
     println!("{:>8} {:>12} {:>18}", "block", "tool", "sort-by-hotness");

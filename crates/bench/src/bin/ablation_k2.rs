@@ -13,7 +13,7 @@
 //! Usage: `cargo run --release -p slopt-bench --bin ablation_k2 [-- --help]` —
 //! accepts the shared execution-context flags ([`slopt_bench::args`]).
 
-use slopt_bench::{figure_setup, measure_cells, require_complete, Cell, CommonArgs};
+use slopt_bench::{figure_setup, measure_complete, Cell, CommonArgs};
 use slopt_core::{suggest_layout, FlgParams, ToolParams};
 use slopt_workload::{analyze, baseline_layouts, layouts_with, loss_for, Machine, STAT_CLASSES};
 
@@ -70,12 +70,8 @@ fn main() {
         });
     }
 
-    let outcome =
-        measure_cells(&ctx, "ablation_k2", kernel, &cells, setup.runs).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
-    let measured = require_complete("ablation_k2", &ctx, &cells, outcome);
+    let measured = measure_complete(&ctx, "ablation_k2", kernel, &cells, setup.runs)
+        .unwrap_or_else(|e| e.exit(&ctx));
     let baseline = &measured[0];
 
     println!("=== ablation: k2 sweep on struct A (128-way) ===");

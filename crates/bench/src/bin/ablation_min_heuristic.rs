@@ -13,7 +13,7 @@
 //! Usage: `cargo run --release -p slopt-bench --bin ablation_min_heuristic [-- --help]` —
 //! accepts the shared execution-context flags ([`slopt_bench::args`]).
 
-use slopt_bench::{figure_setup, measure_cells, require_complete, Cell, CommonArgs};
+use slopt_bench::{figure_setup, measure_complete, Cell, CommonArgs};
 use slopt_core::suggest_layout;
 use slopt_ir::affinity::{AffinityGraph, AffinityMode};
 use slopt_workload::{analyze, baseline_layouts, layouts_with, loss_for, Machine};
@@ -63,12 +63,8 @@ fn main() {
         }
     }
 
-    let outcome = measure_cells(&ctx, "ablation_min_heuristic", kernel, &cells, setup.runs)
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
-    let measured = require_complete("ablation_min_heuristic", &ctx, &cells, outcome);
+    let measured = measure_complete(&ctx, "ablation_min_heuristic", kernel, &cells, setup.runs)
+        .unwrap_or_else(|e| e.exit(&ctx));
     let baseline = &measured[0];
 
     println!("=== ablation: Minimum Heuristic vs group-frequency affinity (128-way) ===");

@@ -12,11 +12,9 @@
 //! Usage: `cargo run --release -p slopt-bench --bin ablation_protocol [-- --help]` —
 //! accepts the shared execution-context flags ([`slopt_bench::args`]).
 
-use slopt_bench::{figure_setup, measure_cells, require_complete, Cell, CommonArgs};
+use slopt_bench::{derive_paper_layouts, figure_setup, measure_complete, Cell, CommonArgs};
 use slopt_sim::Protocol;
-use slopt_workload::{
-    baseline_layouts, compute_paper_layouts_jobs_obs, layouts_with, LayoutKind, Machine, SdetConfig,
-};
+use slopt_workload::{baseline_layouts, layouts_with, LayoutKind, Machine, SdetConfig};
 
 fn main() {
     let args = CommonArgs::from_env_or_exit(
@@ -28,14 +26,7 @@ fn main() {
     let setup = figure_setup(&args);
     let ctx = args.ctx_or_exit();
     let machine = Machine::superdome(128);
-    let layouts = compute_paper_layouts_jobs_obs(
-        &setup.kernel,
-        &setup.sdet,
-        &setup.analysis,
-        setup.tool,
-        setup.jobs,
-        &ctx.obs,
-    );
+    let layouts = derive_paper_layouts(&ctx, &setup, "ablation_protocol");
     let a = setup.kernel.records.a;
     let protocols = [Protocol::Mesi, Protocol::Msi];
 
@@ -65,12 +56,8 @@ fn main() {
         });
     }
 
-    let outcome = measure_cells(&ctx, "ablation_protocol", &setup.kernel, &cells, setup.runs)
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
-    let measured = require_complete("ablation_protocol", &ctx, &cells, outcome);
+    let measured = measure_complete(&ctx, "ablation_protocol", &setup.kernel, &cells, setup.runs)
+        .unwrap_or_else(|e| e.exit(&ctx));
 
     println!("=== ablation: MESI vs MSI (128-way) ===");
     println!(

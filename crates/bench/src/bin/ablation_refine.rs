@@ -9,7 +9,7 @@
 //! Usage: `cargo run --release -p slopt-bench --bin ablation_refine [-- --help]` —
 //! accepts the shared execution-context flags ([`slopt_bench::args`]).
 
-use slopt_bench::{figure_setup, measure_cells, require_complete, Cell, CommonArgs};
+use slopt_bench::{figure_setup, measure_complete, Cell, CommonArgs};
 use slopt_core::{clustering_score, RefineParams, ToolParams};
 use slopt_workload::{analyze, baseline_layouts, layouts_with, suggest_for, Machine};
 
@@ -56,12 +56,8 @@ fn main() {
         }
     }
 
-    let outcome = measure_cells(&ctx, "ablation_refine", kernel, &cells, setup.runs)
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
-    let measured = require_complete("ablation_refine", &ctx, &cells, outcome);
+    let measured = measure_complete(&ctx, "ablation_refine", kernel, &cells, setup.runs)
+        .unwrap_or_else(|e| e.exit(&ctx));
     let baseline = &measured[0];
 
     println!("=== ablation: greedy vs refined clustering (128-way) ===");

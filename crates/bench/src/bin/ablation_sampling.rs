@@ -10,9 +10,8 @@
 //! Usage: `cargo run --release -p slopt-bench --bin ablation_sampling [-- --help]` —
 //! accepts the shared execution-context flags ([`slopt_bench::args`]).
 
-use slopt_bench::{CommonArgs, SITE_WORKER};
-use slopt_core::{par_map_supervised, suggest_layout, WorkerError};
-use slopt_fault::{exit, FaultKind};
+use slopt_bench::{CommonArgs, GridError};
+use slopt_core::{par_map_supervised, suggest_layout};
 use slopt_sample::{concurrency_map, ConcurrencyConfig, ExactCounter, SamplerConfig};
 use slopt_workload::{analyze_obs, baseline_layouts, run_once, AnalysisConfig, STAT_CLASSES};
 
@@ -112,39 +111,18 @@ fn main() {
     };
     // (samples, isolated?, overlap) per grid row; None marks a hole.
     type Row = Option<(usize, bool, f64)>;
-    let (rows, degraded): (Vec<Row>, bool) = match &fault {
+    let (rows, degraded): (Vec<Row>, Option<GridError>) = match &fault {
         None => (
             slopt_core::par_map(ctx.jobs, &grid, |_, &pair| analyze_pair(pair))
                 .into_iter()
                 .map(Some)
                 .collect(),
-            false,
+            None,
         ),
         Some(fc) => {
-            let plan = &fc.plan;
             let (rows, report) =
                 par_map_supervised(ctx.jobs, &grid, &fc.policy, |i, &pair, attempt| {
-                    let gi = i as u64;
-                    if plan.fires(FaultKind::Permanent, SITE_WORKER, gi, attempt) {
-                        ctx.obs.warning("fault.injected.permanent");
-                        return Err(WorkerError::permanent(format!(
-                            "injected permanent fault (grid item {i})"
-                        )));
-                    }
-                    if plan.fires(FaultKind::Panic, SITE_WORKER, gi, attempt) {
-                        ctx.obs.warning("fault.injected.panic");
-                        panic!("injected worker panic (grid item {i}, attempt {attempt})");
-                    }
-                    if plan.fires(FaultKind::Transient, SITE_WORKER, gi, attempt) {
-                        ctx.obs.warning("fault.injected.transient");
-                        return Err(WorkerError::transient(format!(
-                            "injected transient fault (grid item {i}, attempt {attempt})"
-                        )));
-                    }
-                    if plan.fires(FaultKind::Slow, SITE_WORKER, gi, attempt) {
-                        ctx.obs.warning("fault.injected.slow");
-                        std::thread::sleep(std::time::Duration::from_millis(plan.slow_ms()));
-                    }
+                    fc.inject(i, attempt, &ctx.obs)?;
                     Ok(analyze_pair(pair))
                 });
             if report.had_faults() {
@@ -153,7 +131,10 @@ fn main() {
             for f in &report.poisoned {
                 eprintln!("[ablation_sampling] poisoned: {f}");
             }
-            (rows, report.degraded())
+            let degraded = report.degraded().then_some(GridError::Degraded {
+                poisoned: report.poisoned.len(),
+            });
+            (rows, degraded)
         }
     };
 
@@ -179,8 +160,8 @@ fn main() {
         }
     }
 
-    ctx.finish();
-    if degraded {
-        std::process::exit(i32::from(exit::DEGRADED));
+    match degraded {
+        Some(e) => e.exit(&ctx),
+        None => ctx.finish(),
     }
 }

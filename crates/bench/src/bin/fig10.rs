@@ -8,15 +8,12 @@
 //! automatic layout. Best-case improvement ≈ 3.2%.
 //!
 //! Usage: `cargo run --release -p slopt-bench --bin fig10 [-- --help]` —
-//! accepts the shared execution-context flags ([`slopt_bench::args`]).
-//!
-//! With `--fault-plan` (see `slopt-fault`), grid items run under the
-//! supervised pool: transient faults are retried away (output stays
-//! bit-identical to a clean run), permanent faults degrade to a partial
-//! table plus exit code 4.
+//! accepts the shared execution-context flags ([`slopt_bench::args`]); the
+//! table and the code measuring it are [`slopt_bench::paper_figures`] /
+//! [`slopt_bench::figure_main`].
 
-use slopt_bench::{figure, figure_setup, require_figure, CommonArgs};
-use slopt_workload::{best_rows, compute_paper_layouts_jobs_obs, LayoutKind, Machine};
+use slopt_bench::{figure_main, CommonArgs};
+use slopt_workload::best_rows;
 
 fn main() {
     let args = CommonArgs::from_env_or_exit(
@@ -25,41 +22,7 @@ fn main() {
         "",
         &[],
     );
-    let setup = figure_setup(&args);
-    let ctx = args.ctx_or_exit();
-
-    eprintln!("[fig10] measurement run (16-way) + layout derivation...");
-    let layouts = compute_paper_layouts_jobs_obs(
-        &setup.kernel,
-        &setup.sdet,
-        &setup.analysis,
-        setup.tool,
-        setup.jobs,
-        &ctx.obs,
-    );
-
-    eprintln!(
-        "[fig10] measuring on superdome128 ({} runs per layout, {} jobs)...",
-        setup.runs, setup.jobs
-    );
-    let machine = Machine::superdome(128);
-    let outcome = figure(
-        &ctx,
-        "fig10",
-        &setup.kernel,
-        &machine,
-        &setup.sdet,
-        setup.runs,
-        &layouts,
-        &[LayoutKind::Tool, LayoutKind::Constrained],
-        "Figure 10: best layout per struct (automatic vs constrained)",
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let fig = require_figure("fig10", &ctx, outcome);
-    println!("{fig}");
+    let (ctx, fig) = figure_main(&args, "fig10");
 
     println!("best layout per struct:");
     for (letter, kind, pct) in best_rows(&fig) {

@@ -6,15 +6,11 @@
 //! false sharing is cheap, and the locality improvements still help.
 //!
 //! Usage: `cargo run --release -p slopt-bench --bin fig9 [-- --help]` —
-//! accepts the shared execution-context flags ([`slopt_bench::args`]).
-//!
-//! With `--fault-plan` (see `slopt-fault`), grid items run under the
-//! supervised pool: transient faults are retried away (output stays
-//! bit-identical to a clean run), permanent faults degrade to a partial
-//! table plus exit code 4.
+//! accepts the shared execution-context flags ([`slopt_bench::args`]); the
+//! table and the code measuring it are [`slopt_bench::paper_figures`] /
+//! [`slopt_bench::figure_main`].
 
-use slopt_bench::{figure, figure_setup, require_figure, CommonArgs};
-use slopt_workload::{compute_paper_layouts_jobs_obs, LayoutKind, Machine};
+use slopt_bench::{figure_main, CommonArgs};
 
 fn main() {
     let args = CommonArgs::from_env_or_exit(
@@ -23,41 +19,7 @@ fn main() {
         "",
         &[],
     );
-    let setup = figure_setup(&args);
-    let ctx = args.ctx_or_exit();
-
-    eprintln!("[fig9] measurement run (16-way) + layout derivation...");
-    let layouts = compute_paper_layouts_jobs_obs(
-        &setup.kernel,
-        &setup.sdet,
-        &setup.analysis,
-        setup.tool,
-        setup.jobs,
-        &ctx.obs,
-    );
-
-    eprintln!(
-        "[fig9] measuring on bus4 ({} runs per layout, {} jobs)...",
-        setup.runs, setup.jobs
-    );
-    let machine = Machine::bus(4);
-    let outcome = figure(
-        &ctx,
-        "fig9",
-        &setup.kernel,
-        &machine,
-        &setup.sdet,
-        setup.runs,
-        &layouts,
-        &[LayoutKind::Tool, LayoutKind::SortByHotness],
-        "Figure 9: the Figure-8 layouts on a 4-way bus machine",
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let fig = require_figure("fig9", &ctx, outcome);
-    println!("{fig}");
+    let (ctx, _) = figure_main(&args, "fig9");
 
     ctx.finish();
 }

@@ -27,15 +27,16 @@
 //! accepts the shared execution-context flags ([`slopt_bench::args`]) plus
 //! `--seed`, `--chains`, `--steps`, `--top`.
 
-use slopt_bench::{extra_flag, figure_setup, usage_exit, CommonArgs};
-use slopt_core::{sort_by_hotness, ToolParams};
+use slopt_bench::{
+    extra_flag, figure_setup, kernel_records, search_row, usage_exit, CommonArgs, SearchRowCfg,
+};
+use slopt_core::sort_by_hotness;
 use slopt_ir::types::RecordId;
 use slopt_obs::Obs;
 use slopt_search::{Portfolio, SearchParams};
 use slopt_workload::{
-    analyze_obs, baseline_layouts, layouts_with, measure, search_for_obs, stress_records,
-    stress_workload, suggest_for_obs, validate_top_k, KernelAnalysis, Machine, SdetConfig,
-    WorkloadSpec,
+    analyze_obs, baseline_layouts, layouts_with, measure, stress_workload, workload_records,
+    KernelAnalysis, Machine, WorkloadSpec,
 };
 
 const EXTRA_FLAGS: &str = "SEARCH OPTIONS:
@@ -45,18 +46,6 @@ const EXTRA_FLAGS: &str = "SEARCH OPTIONS:
     --top <n>             candidates re-measured in the simulator [default: 2]
 ";
 
-/// Everything one table section needs beyond the workload itself.
-struct SectionCfg<'a> {
-    sdet: &'a SdetConfig,
-    tool: ToolParams,
-    params: &'a SearchParams,
-    portfolio: Portfolio,
-    machine: &'a Machine,
-    runs: usize,
-    jobs: usize,
-    top: usize,
-}
-
 /// Runs the greedy-vs-search comparison over one workload's records and
 /// prints its table. Returns how many records the search's winning
 /// objective strictly beat greedy on.
@@ -65,7 +54,7 @@ fn section<W: WorkloadSpec + Sync>(
     w: &W,
     records: &[(String, RecordId)],
     analysis: &KernelAnalysis,
-    cfg: &SectionCfg<'_>,
+    cfg: &SearchRowCfg<'_>,
     obs: &Obs,
 ) -> usize {
     let base_table = baseline_layouts(w, cfg.sdet.line_size);
@@ -78,54 +67,30 @@ fn section<W: WorkloadSpec + Sync>(
     let mut better = 0usize;
     for (name, rec) in records {
         let rec = *rec;
-        let search = search_for_obs(
-            w,
-            analysis,
-            rec,
-            cfg.tool,
-            cfg.params,
-            cfg.portfolio,
-            cfg.jobs,
-            obs,
-        );
-        let (validated, best_i) = validate_top_k(
-            w,
-            &search,
-            cfg.tool,
-            cfg.machine,
-            cfg.sdet,
-            cfg.top,
-            cfg.runs,
-            cfg.jobs,
-        );
-        let suggestion = suggest_for_obs(w, analysis, rec, cfg.tool, obs);
+        let row = search_row(w, analysis, rec, cfg, obs);
         let ty = w.record_type(rec);
         let hot: Vec<u64> = ty
             .field_indices()
-            .map(|f| suggestion.flg.hotness(f))
+            .map(|f| row.suggestion.flg.hotness(f))
             .collect();
         let hot_layout =
             sort_by_hotness(ty, &hot, cfg.tool.layout.line_size).expect("valid record");
-        let measure_layout = |layout: slopt_ir::layout::StructLayout| {
-            let table = layouts_with(w, cfg.sdet.line_size, rec, layout);
-            measure(w, &table, cfg.machine, cfg.sdet, cfg.runs, cfg.jobs)
-        };
-        let tool_tp = measure_layout(suggestion.layout.clone());
-        let hot_tp = measure_layout(hot_layout);
-        let win = search.outcome.winner();
-        let delta = win.score - search.outcome.greedy_score;
-        if search.outcome.improved() {
+        let hot_table = layouts_with(w, cfg.sdet.line_size, rec, hot_layout);
+        let hot_tp = measure(w, &hot_table, cfg.machine, cfg.sdet, cfg.runs, cfg.jobs);
+        let outcome = &row.search.outcome;
+        let win = outcome.winner();
+        if outcome.improved() {
             better += 1;
         }
         println!(
             "[{label}] {:<12} {:>14.6} {:>14.6} {:>+10.6}  {:>+8.2} {:>+8.2} {:>+8.2}",
             name,
-            search.outcome.greedy_score,
+            outcome.greedy_score,
             win.score,
-            delta,
-            tool_tp.pct_vs(&base),
+            win.score - outcome.greedy_score,
+            row.tool.pct_vs(&base),
             hot_tp.pct_vs(&base),
-            validated[best_i].throughput.pct_vs(&base),
+            row.best.pct_vs(&base),
         );
     }
     println!(
@@ -133,6 +98,13 @@ fn section<W: WorkloadSpec + Sync>(
         records.len()
     );
     better
+}
+
+/// Reads a registered flag strictly; a malformed value exits 2.
+fn flag<T: std::str::FromStr>(argv: &[String], name: &str, default: T) -> T {
+    extra_flag(argv, name)
+        .unwrap_or_else(|e| usage_exit("fig_search", &e))
+        .unwrap_or(default)
 }
 
 fn main() {
@@ -148,14 +120,10 @@ fn main() {
         ],
     );
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let seed = extra_flag(&argv, "--seed", 42u64).unwrap_or_else(|e| usage_exit("fig_search", &e));
-    let chains =
-        extra_flag(&argv, "--chains", 6usize).unwrap_or_else(|e| usage_exit("fig_search", &e));
-    let steps =
-        extra_flag(&argv, "--steps", 1_200usize).unwrap_or_else(|e| usage_exit("fig_search", &e));
-    let top = extra_flag(&argv, "--top", 2usize)
-        .unwrap_or_else(|e| usage_exit("fig_search", &e))
-        .max(1);
+    let seed = flag(&argv, "--seed", 42u64);
+    let chains = flag(&argv, "--chains", 6usize);
+    let steps = flag(&argv, "--steps", 1_200usize);
+    let top = flag(&argv, "--top", 2usize).max(1);
     let setup = figure_setup(&args);
     let ctx = args.ctx_or_exit();
     let obs = &ctx.obs;
@@ -164,7 +132,7 @@ fn main() {
         steps,
         ..SearchParams::default()
     };
-    let cfg = SectionCfg {
+    let cfg = SearchRowCfg {
         sdet: &setup.sdet,
         tool: setup.tool,
         params: &params,
@@ -183,13 +151,7 @@ fn main() {
          validating top {top} in simulated cycles ({} runs, {} jobs)...",
         setup.runs, setup.jobs
     );
-    let kernel_records: Vec<(String, RecordId)> = setup
-        .kernel
-        .records
-        .all()
-        .iter()
-        .map(|&(l, r)| (l.to_string(), r))
-        .collect();
+    let kernel_records = kernel_records(&setup.kernel);
     let kernel_analysis = analyze_obs(&setup.kernel, &setup.sdet, &setup.analysis, obs);
     let kernel_better = section(
         "kernel",
@@ -202,7 +164,7 @@ fn main() {
 
     eprintln!("[fig_search] stress workload measurement run...");
     let stress = stress_workload();
-    let stress_recs = stress_records(&stress);
+    let stress_recs = workload_records(&stress);
     let stress_analysis = analyze_obs(&stress, &setup.sdet, &setup.analysis, obs);
     let stress_better = section("stress", &stress, &stress_recs, &stress_analysis, &cfg, obs);
 

@@ -11,9 +11,10 @@
 //! When both reports carry `dense_trimmed_mean_s` (schema /3) the gate
 //! compares trimmed means — per-rep and outlier-robust, so it survives a
 //! rep-count change between baseline and fresh; older reports fall back
-//! to `dense_serial_total_s`. Reads `slopt-perf-report/1` through `/5`
+//! to `dense_serial_total_s`. Reads `slopt-perf-report/1` through `/6`
 //! (schema /5 adds advisory `dense_p50_s` / `dense_p99_s` quantiles,
-//! which the gate ignores — `trace_diff` is the tool for reading them).
+//! exact nearest-rank order statistics from /6 on, which the gate
+//! ignores).
 //!
 //! **Growth floors.** Beyond no-regression, the gate can enforce that a
 //! claimed win actually holds:
@@ -40,18 +41,23 @@
 //!  [--floor-s 0.05] [--require-speedup cc_stream:2.0]...
 //!  [--require-parallel cc_stream:3.0]...`
 
+use slopt_bench::extra_flag;
 use slopt_obs::json::{parse, Json};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.windows(2)
-        .find(|w| w[0] == name)
-        .map(|w| w[1].as_str())
-}
+/// The flags that take a value (everything else non-dash is the fresh
+/// report path).
+const VALUE_FLAGS: [&str; 5] = [
+    "--baseline",
+    "--tolerance",
+    "--floor-s",
+    "--require-speedup",
+    "--require-parallel",
+];
 
 /// All values of a repeatable `--flag name:min` argument.
-fn flag_values(args: &[String], name: &str) -> Result<Vec<(String, f64)>, String> {
+fn floors(args: &[String], name: &str) -> Result<Vec<(String, f64)>, String> {
     let mut out = Vec::new();
     for w in args.windows(2) {
         if w[0] != name {
@@ -137,38 +143,26 @@ fn read_report(path: &str) -> Result<Report, String> {
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_operand = |a: &String| {
-        for flag in [
-            "--baseline",
-            "--tolerance",
-            "--floor-s",
-            "--require-speedup",
-            "--require-parallel",
-        ] {
-            if flag_value(&args, flag) == Some(a.as_str()) {
-                return true;
-            }
-        }
-        false
-    };
+    const USAGE: &str = "usage: perf_guard <fresh.json> --baseline <old.json>";
     let fresh_path = args
         .iter()
-        .find(|a| !a.starts_with("--") && !flag_operand(a))
-        .ok_or("usage: perf_guard <fresh.json> --baseline <old.json>")?
-        .clone();
-    let baseline_path = flag_value(&args, "--baseline")
-        .ok_or("usage: perf_guard <fresh.json> --baseline <old.json>")?
-        .to_string();
-    let tolerance: f64 = match flag_value(&args, "--tolerance") {
-        Some(v) => v.parse().map_err(|_| format!("bad --tolerance `{v}`"))?,
-        None => 0.10,
+        .enumerate()
+        .find(|&(i, a)| {
+            !a.starts_with("--") && (i == 0 || !VALUE_FLAGS.contains(&args[i - 1].as_str()))
+        })
+        .map(|(_, a)| a.clone())
+        .ok_or(USAGE)?;
+    let flag = |name: &str| extra_flag::<String>(&args, name).map_err(|e| e.to_string());
+    let baseline_path = flag("--baseline")?.ok_or(USAGE)?;
+    let number = |name: &str, default: f64| -> Result<f64, String> {
+        Ok(extra_flag(&args, name)
+            .map_err(|e| e.to_string())?
+            .unwrap_or(default))
     };
-    let floor_s: f64 = match flag_value(&args, "--floor-s") {
-        Some(v) => v.parse().map_err(|_| format!("bad --floor-s `{v}`"))?,
-        None => 0.05,
-    };
-    let require_speedup = flag_values(&args, "--require-speedup")?;
-    let require_parallel = flag_values(&args, "--require-parallel")?;
+    let tolerance = number("--tolerance", 0.10)?;
+    let floor_s = number("--floor-s", 0.05)?;
+    let require_speedup = floors(&args, "--require-speedup")?;
+    let require_parallel = floors(&args, "--require-parallel")?;
 
     let fresh = read_report(&fresh_path)?;
     let baseline = read_report(&baseline_path)?;

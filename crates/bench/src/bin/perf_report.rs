@@ -22,9 +22,11 @@
 //! 2. **engine** — full SDET runs with the dense paged coherence
 //!    directory vs the reference `HashMap` directory
 //!    (`MemSystem::set_reference_directory`).
-//! 3. **cc** — `concurrency_map` (the blocked kernel) vs
-//!    `concurrency_map_naive` (triple-nested maps) on one synthetic
-//!    sample stream.
+//! 3. **cc** — `concurrency_map` (the blocked kernel) vs the frozen
+//!    perf baseline `concurrency_map_reference` (the flat count-tensor
+//!    pipeline) on one synthetic sample stream. `concurrency_map_naive`
+//!    (triple-nested maps) is the test oracle: asserted equal once,
+//!    never timed.
 //! 4. **flg_cluster** — dense triangular `Flg` construction + greedy
 //!    clustering vs the hash-map `FlgRef` through the same generic
 //!    `cluster`.
@@ -50,7 +52,7 @@
 //! `--out PATH` (default `BENCH_sim.json`), `--no-reference` (skip the
 //! old implementations: faster, but no speedup column).
 //!
-//! Schema: `slopt-perf-report/5`. Version 2 added a `peak_rss_kb` field
+//! Schema: `slopt-perf-report/6`. Version 2 added a `peak_rss_kb` field
 //! per bench — the process's high-water resident set (Linux `VmHWM`,
 //! absent elsewhere) sampled right after the bench finishes. Version 3
 //! adds per-bench `dense_trimmed_mean_s` / `reference_trimmed_mean_s`
@@ -61,14 +63,12 @@
 //! one (wall-clock speedup > 1 needs more cores than workers). Version
 //! 4 adds the `search_delta` bench and its `delta_full_ratio` field
 //! (the per-proposal cost ratio of full rescoring over delta
-//! evaluation). Version 5 adds per-bench `dense_p50_s` / `dense_p99_s`:
-//! the per-rep wall clocks folded (at nanosecond resolution) into the
-//! same deterministic log2 `slopt_obs::Histogram` the profiling layer
-//! uses for span durations, so the committed baseline carries tail
-//! behavior alongside the trimmed mean and `trace_diff` deltas can be
-//! read against the same quantile rule. All earlier fields are
-//! unchanged, so /1–/4 consumers can read /5 reports by ignoring the
-//! new fields.
+//! evaluation). Version 5 adds per-bench `dense_p50_s` / `dense_p99_s`;
+//! version 6 computes them as exact nearest-rank order statistics of the
+//! raw reps (/5 used log2 histogram buckets, which gave p50 = p99 = the
+//! slowest rep for a handful of reps) and times the `cc` bench against
+//! `concurrency_map_reference` instead of the naive oracle. Earlier
+//! fields are unchanged, so /1–/5 consumers can read /6 reports.
 
 use slopt_bench::{extra_flag, usage_exit, CommonArgs};
 use slopt_core::{canonical_cluster_sum, cluster, DeltaObjective, Flg, FlgRef, Move};
@@ -105,14 +105,14 @@ impl Args {
         ];
         let (common, out) = CommonArgs::parse_with(&args, extras)
             .and_then(|common| {
-                let out = extra_flag(&args, "--out", "BENCH_sim.json".to_string())?;
+                let out = extra_flag(&args, "--out")?;
                 Ok((common, out))
             })
             .unwrap_or_else(|e| usage_exit("perf_report", &e));
         Args {
             quick: args.iter().any(|a| a == "--quick"),
             jobs: common.jobs,
-            out,
+            out: out.unwrap_or_else(|| "BENCH_sim.json".to_string()),
             reference: !args.iter().any(|a| a == "--no-reference"),
         }
     }
@@ -168,6 +168,16 @@ fn peak_rss_kb() -> Option<u64> {
     }
 }
 
+/// Nearest-rank `q`-quantile of the reps: the smallest rep with at least
+/// `ceil(q * n)` reps at or below it. Exact on the raw rep vector, so p50
+/// and p99 differ whenever the reps do; `None` for no reps.
+fn nearest_rank(xs: &[f64], q: f64) -> Option<f64> {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let rank = ((q * v.len() as f64).ceil() as usize).clamp(1, v.len().max(1));
+    v.get(rank - 1).copied()
+}
+
 /// Mean of the reps with the minimum and maximum dropped (when reps ≥ 3;
 /// the plain mean below that). One outlier rep — a scheduler hiccup, a
 /// page-cache miss — cannot move the committed baseline.
@@ -187,18 +197,6 @@ impl BenchResult {
     }
     fn reference_total(&self) -> f64 {
         self.reference_s.iter().sum()
-    }
-    /// Per-rep dense wall clocks folded into the deterministic log2
-    /// histogram at nanosecond resolution — the same structure (and
-    /// therefore the same quantile rule) the profiling layer uses for
-    /// span durations, so report quantiles and `trace_diff` deltas are
-    /// comparable like for like.
-    fn dense_hist(&self) -> slopt_obs::Histogram {
-        let mut h = slopt_obs::Histogram::new();
-        for &s in &self.dense_s {
-            h.record((s * 1e9) as u64);
-        }
-        h
     }
     /// Trimmed-mean ratio of reference over dense — robust to one noisy
     /// rep on either side.
@@ -458,9 +456,10 @@ fn synth_samples(n: usize, cpus: u16, lines: u32, span: u64, seed: u64) -> Vec<S
 }
 
 fn bench_cc(args: &Args) -> BenchResult {
-    // The naive formulation is quadratic in samples-per-interval, so the
-    // full mode grows the interval count with the stream, keeping density
-    // (and the per-interval cost ratio) fixed.
+    // The full mode grows the interval count with the stream, keeping
+    // density (and the per-interval cost ratio) fixed; the naive oracle,
+    // quadratic in samples-per-interval, stays affordable for its one
+    // equivalence check.
     let (n, intervals) = if args.quick {
         (60_000, 100u64)
     } else {
@@ -468,22 +467,33 @@ fn bench_cc(args: &Args) -> BenchResult {
     };
     let cfg = ConcurrencyConfig { interval: 1_000 };
     let samples = synth_samples(n, 16, 400, intervals * cfg.interval, 0xCC);
-    let reps = if args.quick { 2 } else { 3 };
+    let reps = 5;
 
     let mut dense_s = Vec::new();
     let mut reference_s = Vec::new();
+    let mut dense_pairs = Vec::new();
     for _ in 0..reps {
         let (dense, td) = time(|| concurrency_map(&samples, &cfg));
         dense_s.push(td);
+        dense_pairs = dense.pairs();
         if args.reference {
-            let (naive, tr) = time(|| concurrency_map_naive(&samples, &cfg));
+            let (reference, tr) = time(|| concurrency_map_reference(&samples, &cfg));
             reference_s.push(tr);
             assert_eq!(
-                dense.pairs(),
-                naive.pairs(),
-                "dense and naive concurrency maps disagree"
+                dense_pairs,
+                reference.pairs(),
+                "dense and reference concurrency maps disagree"
             );
         }
+    }
+    if args.reference {
+        // The naive formulation is the test oracle, checked once and
+        // never timed.
+        assert_eq!(
+            dense_pairs,
+            concurrency_map_naive(&samples, &cfg).pairs(),
+            "dense and naive concurrency maps disagree"
+        );
     }
     BenchResult {
         name: "cc",
@@ -728,11 +738,12 @@ fn write_report(path: &str, args: &Args, results: &[BenchResult]) -> std::io::Re
                 trimmed_mean(&r.dense_s)
             ),
         ];
-        let hist = r.dense_hist();
-        if !hist.is_empty() {
-            let s = hist.summary();
-            fields.push(format!("      \"dense_p50_s\": {:.6}", s.p50 as f64 / 1e9));
-            fields.push(format!("      \"dense_p99_s\": {:.6}", s.p99 as f64 / 1e9));
+        if let (Some(p50), Some(p99)) = (
+            nearest_rank(&r.dense_s, 0.50),
+            nearest_rank(&r.dense_s, 0.99),
+        ) {
+            fields.push(format!("      \"dense_p50_s\": {p50:.6}"));
+            fields.push(format!("      \"dense_p99_s\": {p99:.6}"));
         }
         if !r.reference_s.is_empty() {
             fields.push(format!(
@@ -772,7 +783,7 @@ fn write_report(path: &str, args: &Args, results: &[BenchResult]) -> std::io::Re
         benches.push(format!("    {{\n{}\n    }}", fields.join(",\n")));
     }
     let doc = format!(
-        "{{\n  \"schema\": \"slopt-perf-report/5\",\n  \"quick\": {},\n  \"jobs\": {},\n  \"host_cores\": {},\n  \"equivalence_checked\": {},\n  \"benches\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"slopt-perf-report/6\",\n  \"quick\": {},\n  \"jobs\": {},\n  \"host_cores\": {},\n  \"equivalence_checked\": {},\n  \"benches\": [\n{}\n  ]\n}}\n",
         args.quick,
         args.jobs,
         host_cores(),
@@ -848,4 +859,21 @@ fn main() {
 
     write_report(&args.out, &args, &results).expect("write report");
     eprintln!("[perf_report] wrote {}", args.out);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::nearest_rank;
+
+    #[test]
+    fn nearest_rank_quantiles_come_from_the_sorted_reps() {
+        // Two reps in one power-of-two bucket used to report p50 = p99 =
+        // the slowest rep; nearest rank keeps them apart.
+        let reps = [0.014791, 0.013148, 0.012003, 0.011503, 0.009539, 0.009520];
+        assert_eq!(nearest_rank(&reps, 0.50), Some(0.011503));
+        assert_eq!(nearest_rank(&reps, 0.99), Some(0.014791));
+        assert_eq!(nearest_rank(&[3.0, 1.0, 2.0], 0.50), Some(2.0));
+        assert_eq!(nearest_rank(&[7.0], 0.99), Some(7.0));
+        assert_eq!(nearest_rank(&[], 0.50), None);
+    }
 }

@@ -10,11 +10,9 @@
 //! Usage: `cargo run --release -p slopt-bench --bin sweep_remote_latency [-- --help]` —
 //! accepts the shared execution-context flags ([`slopt_bench::args`]).
 
-use slopt_bench::{figure_setup, CommonArgs};
+use slopt_bench::{derive_paper_layouts, figure_setup, CommonArgs};
 use slopt_sim::{LatencyModel, Topology};
-use slopt_workload::{
-    baseline_layouts, compute_paper_layouts_jobs, layouts_with, measure, LayoutKind, Machine,
-};
+use slopt_workload::{baseline_layouts, layouts_with, measure, LayoutKind, Machine};
 
 fn scaled(lat: LatencyModel, factor: f64) -> LatencyModel {
     let s = |x: u64| ((x as f64) * factor).round() as u64;
@@ -37,13 +35,8 @@ fn main() {
         &[],
     );
     let setup = figure_setup(&args);
-    let layouts = compute_paper_layouts_jobs(
-        &setup.kernel,
-        &setup.sdet,
-        &setup.analysis,
-        setup.tool,
-        setup.jobs,
-    );
+    let ctx = args.ctx_or_exit();
+    let layouts = derive_paper_layouts(&ctx, &setup, "sweep_remote_latency");
     let a = setup.kernel.records.a;
 
     println!("=== struct A degradation vs coherence-transfer latency (64-way) ===");
@@ -86,4 +79,5 @@ fn main() {
             t.pct_vs(&baseline)
         );
     }
+    ctx.finish();
 }

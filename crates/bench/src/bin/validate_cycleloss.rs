@@ -16,10 +16,9 @@
 //! [-- --help]` — accepts the shared execution-context flags
 //! ([`slopt_bench::args`]).
 
-use slopt_bench::{figure_setup, CommonArgs};
+use slopt_bench::{derive_paper_layouts, figure_setup, CommonArgs};
 use slopt_workload::{
-    compute_paper_layouts_jobs_obs, ground_truth_loss, layouts_with, loss_for, run_once_logged,
-    LayoutKind, Machine,
+    ground_truth_loss, layouts_with, loss_for, run_once_logged, LayoutKind, Machine,
 };
 use std::collections::HashSet;
 
@@ -39,14 +38,7 @@ fn main() {
     // 1. The estimate, from the baseline-layout measurement run the paper
     //    layouts are derived from — before the dangerous layout exists,
     //    exactly the tool's situation.
-    let paper = compute_paper_layouts_jobs_obs(
-        kernel,
-        &setup.sdet,
-        &setup.analysis,
-        setup.tool,
-        setup.jobs,
-        &ctx.obs,
-    );
+    let paper = derive_paper_layouts(&ctx, &setup, "validate_cycleloss");
     let estimated = loss_for(kernel, &paper.analysis, a);
 
     // 2. Ground truth under the co-locating layout.

@@ -15,8 +15,11 @@
 //! | `ablation_blocksize` | 64 B vs 128 B coherence blocks |
 //! | `ablation_sampling` | sampling period / interval sensitivity |
 //!
-//! This library exposes the shared experiment scaffolding those binaries
-//! use; `cargo bench` additionally runs Criterion micro-benchmarks of the
+//! This library holds one implementation of each job those binaries and
+//! `slopt-tool` run — the figure table and its measuring code, the greedy-vs-search
+//! row, the complete-or-degrade grid step, the flag parser — and the
+//! binaries are thin callers of it; `cargo bench` additionally runs
+//! Criterion micro-benchmarks of the
 //! tool itself and a *real-hardware* false-sharing benchmark using
 //! `#[repr(C)]` layouts on host threads.
 
@@ -29,8 +32,11 @@ pub use args::{
     extra_flag, help_text, usage_exit, ArgError, CommonArgs, EXIT_CODE_TABLE, FLAG_REFERENCE,
 };
 pub use checkpoint::{fingerprint, guard_cc_snapshot, Checkpoint, CheckpointSpec};
-pub use harness::{figure_setup, FigureSetup};
+pub use harness::{
+    derive_paper_layouts, figure_main, figure_setup, kernel_records, measure_paper_figure,
+    paper_figures, search_row, select_records, FigureSetup, PaperFigure, SearchRow, SearchRowCfg,
+};
 pub use runner::{
-    figure, measure_cells, require_complete, require_figure, resolve, Cell, Degraded, ExecCtx,
-    FaultConfig, FigureOutcome, GridOutcome, SITE_CKPT, SITE_WORKER,
+    figure, measure_cells, measure_complete, resolve, Cell, ExecCtx, FaultConfig, FigureOutcome,
+    GridError, GridOutcome, SITE_CKPT, SITE_WORKER,
 };

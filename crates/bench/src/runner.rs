@@ -15,7 +15,8 @@
 //!   by [`figure_tables`], assembled into a [`Figure`];
 //! * [`resolve`] — the one complete-vs-degraded decision shared by every
 //!   caller, so exit-4 semantics cannot diverge between the figure and
-//!   cell paths.
+//!   cell paths; [`measure_complete`] pairs it with [`measure_cells`],
+//!   and [`GridError::exit`] is the binaries' one failure exit.
 //!
 //! Determinism contract: cells carry their entire configuration, run
 //! seeds come from [`slopt_workload::measurement_seeds`], fault decisions
@@ -50,6 +51,37 @@ pub struct FaultConfig {
     pub plan: FaultPlan,
     /// Retry/deadline policy of the supervised pool.
     pub policy: SupervisePolicy,
+}
+
+impl FaultConfig {
+    /// Fires the plan's [`SITE_WORKER`] faults for one attempt at grid
+    /// item `i`: a permanent failure, a panic, a transient failure, or a
+    /// stall that then succeeds. Decisions key on the grid index, so
+    /// they are identical under any `jobs` value and across resume.
+    pub fn inject(&self, i: usize, attempt: u32, obs: &slopt_obs::Obs) -> Result<(), WorkerError> {
+        let (plan, gi) = (&self.plan, i as u64);
+        if plan.fires(FaultKind::Permanent, SITE_WORKER, gi, attempt) {
+            obs.warning("fault.injected.permanent");
+            return Err(WorkerError::permanent(format!(
+                "injected permanent fault (grid item {i})"
+            )));
+        }
+        if plan.fires(FaultKind::Panic, SITE_WORKER, gi, attempt) {
+            obs.warning("fault.injected.panic");
+            panic!("injected worker panic (grid item {i}, attempt {attempt})");
+        }
+        if plan.fires(FaultKind::Transient, SITE_WORKER, gi, attempt) {
+            obs.warning("fault.injected.transient");
+            return Err(WorkerError::transient(format!(
+                "injected transient fault (grid item {i}, attempt {attempt})"
+            )));
+        }
+        if plan.fires(FaultKind::Slow, SITE_WORKER, gi, attempt) {
+            obs.warning("fault.injected.slow");
+            std::thread::sleep(Duration::from_millis(plan.slow_ms()));
+        }
+        Ok(())
+    }
 }
 
 /// The execution context: every capability a grid run can carry,
@@ -343,7 +375,6 @@ pub fn measure_cells(
             }
         }
         Some(fault) => {
-            let plan = &fault.plan;
             let (computed, mut report) = {
                 let _span = obs.span("measure_grid");
                 par_map_supervised_commit(
@@ -351,29 +382,7 @@ pub fn measure_cells(
                     &pending,
                     &fault.policy,
                     |_, &(i, c, seed), attempt| {
-                        // Injection points, all keyed by grid index `i` so
-                        // decisions are jobs- and resume-invariant.
-                        let gi = i as u64;
-                        if plan.fires(FaultKind::Permanent, SITE_WORKER, gi, attempt) {
-                            obs.warning("fault.injected.permanent");
-                            return Err(WorkerError::permanent(format!(
-                                "injected permanent fault (grid item {i})"
-                            )));
-                        }
-                        if plan.fires(FaultKind::Panic, SITE_WORKER, gi, attempt) {
-                            obs.warning("fault.injected.panic");
-                            panic!("injected worker panic (grid item {i}, attempt {attempt})");
-                        }
-                        if plan.fires(FaultKind::Transient, SITE_WORKER, gi, attempt) {
-                            obs.warning("fault.injected.transient");
-                            return Err(WorkerError::transient(format!(
-                                "injected transient fault (grid item {i}, attempt {attempt})"
-                            )));
-                        }
-                        if plan.fires(FaultKind::Slow, SITE_WORKER, gi, attempt) {
-                            obs.warning("fault.injected.slow");
-                            std::thread::sleep(Duration::from_millis(plan.slow_ms()));
-                        }
+                        fault.inject(i, attempt, obs)?;
                         Ok((i, simulate(c, seed)))
                     },
                     |_, _, &(i, value), attempt| commit_value(i, value, attempt),
@@ -455,7 +464,8 @@ pub struct FigureOutcome {
 ///
 /// When permanent faults poison cells the [`FigureOutcome`] carries the
 /// partial per-cell values instead of a figure, and the caller is
-/// expected to degrade via [`require_figure`] (or [`resolve`]).
+/// expected to degrade via [`resolve`], as
+/// [`crate::harness::measure_paper_figure`] does.
 #[allow(clippy::too_many_arguments)]
 pub fn figure(
     ctx: &ExecCtx,
@@ -514,25 +524,58 @@ pub fn figure(
     })
 }
 
-/// A degraded run: permanent faults holed part of the grid. Carries the
-/// process exit code so every caller agrees on it.
+/// Why a grid run has no complete result. Carries the process exit code
+/// so every caller agrees on it.
 #[derive(Debug)]
-pub struct Degraded {
-    /// How many grid items were poisoned.
-    pub poisoned: usize,
+pub enum GridError {
+    /// Checkpoint or snapshot I/O failed.
+    Io(std::io::Error),
+    /// Permanent faults holed the grid (the partial table is already
+    /// printed).
+    Degraded {
+        /// How many grid items were poisoned.
+        poisoned: usize,
+    },
 }
 
-impl Degraded {
-    /// The exit code of the degradation contract.
+impl GridError {
+    /// The process exit code: [`exit::FAILURE`] for I/O,
+    /// [`exit::DEGRADED`] for a holed grid.
     pub fn exit_code(&self) -> u8 {
-        exit::DEGRADED
+        match self {
+            GridError::Io(_) => exit::FAILURE,
+            GridError::Degraded { .. } => exit::DEGRADED,
+        }
     }
 
-    /// Flushes the context and exits with [`exit::DEGRADED`] — the
-    /// binaries' terminal degrade step.
-    pub fn finish_and_exit(&self, ctx: &ExecCtx) -> ! {
+    /// The binaries' one terminal failure step: reports an I/O error,
+    /// flushes the context and exits with [`GridError::exit_code`].
+    pub fn exit(&self, ctx: &ExecCtx) -> ! {
+        if let GridError::Io(e) = self {
+            eprintln!("error: {e}");
+        }
         ctx.finish();
         std::process::exit(i32::from(self.exit_code()))
+    }
+}
+
+impl std::fmt::Display for GridError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GridError::Io(e) => write!(f, "{e}"),
+            GridError::Degraded { poisoned } => {
+                write!(
+                    f,
+                    "{poisoned} grid item(s) poisoned — partial results above"
+                )
+            }
+        }
+    }
+}
+
+impl From<std::io::Error> for GridError {
+    fn from(e: std::io::Error) -> GridError {
+        GridError::Io(e)
     }
 }
 
@@ -544,13 +587,13 @@ impl Degraded {
 /// logging the recovery summary if anything was injected. A holed grid
 /// prints the explicit partial-result table — every cell with its value
 /// or a `HOLE` marker — then the poisoned grid items, and returns
-/// [`Degraded`]; the caller decides how to exit (binaries call
-/// [`Degraded::finish_and_exit`], the CLI maps it to its error type).
+/// [`GridError::Degraded`]; the caller decides how to exit (binaries
+/// call [`GridError::exit`], the CLI maps it to its error type).
 pub fn resolve(
     tag: &str,
     cells: Vec<(String, Option<Throughput>)>,
     report: &FaultReport,
-) -> Result<Vec<Throughput>, Degraded> {
+) -> Result<Vec<Throughput>, GridError> {
     if cells.iter().all(|(_, m)| m.is_some()) {
         if report.had_faults() {
             eprintln!("[{tag}] {}", report.summary_line());
@@ -568,41 +611,27 @@ pub fn resolve(
     for f in &report.poisoned {
         eprintln!("[{tag}] poisoned: {f}");
     }
-    Err(Degraded {
+    Err(GridError::Degraded {
         poisoned: report.poisoned.len(),
     })
 }
 
-/// Unwraps a [`measure_cells`] outcome for binaries that print their own
-/// tables: the per-cell throughputs when complete, the partial table
-/// plus [`exit::DEGRADED`] otherwise (via [`resolve`]).
-pub fn require_complete(
-    tag: &str,
+/// [`measure_cells`] followed by [`resolve`]: the per-cell throughputs of
+/// a complete grid, or the [`GridError`] the caller exits (or maps) with.
+pub fn measure_complete(
     ctx: &ExecCtx,
+    name: &str,
+    kernel: &(impl WorkloadSpec + Sync),
     cells: &[Cell],
-    outcome: GridOutcome,
-) -> Vec<Throughput> {
-    let labelled: Vec<(String, Option<Throughput>)> = cells
+    runs: usize,
+) -> Result<Vec<Throughput>, GridError> {
+    let GridOutcome { measured, report } = measure_cells(ctx, name, kernel, cells, runs)?;
+    let labelled = cells
         .iter()
         .map(|c| c.label.clone())
-        .zip(outcome.measured)
+        .zip(measured)
         .collect();
-    resolve(tag, labelled, &outcome.report).unwrap_or_else(|d| d.finish_and_exit(ctx))
-}
-
-/// Unwraps a [`FigureOutcome`] for the figure binaries: the assembled
-/// [`Figure`] when complete, the partial-table-and-exit degradation path
-/// otherwise (via [`resolve`]).
-pub fn require_figure(tag: &str, ctx: &ExecCtx, outcome: FigureOutcome) -> Figure {
-    let FigureOutcome {
-        figure,
-        cells,
-        report,
-    } = outcome;
-    match resolve(tag, cells, &report) {
-        Ok(_) => figure.expect("complete grid assembles a figure"),
-        Err(d) => d.finish_and_exit(ctx),
-    }
+    resolve(name, labelled, &report)
 }
 
 #[cfg(test)]
@@ -881,13 +910,14 @@ mod tests {
             report: out.report.clone(),
         };
         let fig_path = resolve("t", figure_shaped.cells, &figure_shaped.report);
-        let (a, b) = (
-            cell_path.expect_err("holed grid must degrade"),
-            fig_path.expect_err("holed grid must degrade"),
-        );
-        assert_eq!(a.poisoned, b.poisoned);
-        assert_eq!(a.exit_code(), 4, "the degradation contract is exit 4");
-        assert_eq!(a.exit_code(), b.exit_code());
+        let poisoned = |r: Result<Vec<Throughput>, GridError>| match r {
+            Err(e @ GridError::Degraded { poisoned }) => {
+                assert_eq!(e.exit_code(), 4, "the degradation contract is exit 4");
+                poisoned
+            }
+            other => panic!("holed grid must degrade, got {other:?}"),
+        };
+        assert_eq!(poisoned(cell_path), poisoned(fig_path));
 
         // And a complete grid resolves to the values in cell order.
         let clean = measure_cells(&ExecCtx::bare(1), "t", &kernel, &cells, 2).expect("no I/O");

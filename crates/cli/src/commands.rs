@@ -6,8 +6,9 @@
 //! (partial-result) figures run exits 4, everything else exits 1.
 
 use slopt_bench::{
-    extra_flag, figure, figure_setup, resolve, ArgError, CommonArgs, ExecCtx, FigureOutcome,
-    FigureSetup, EXIT_CODE_TABLE,
+    derive_paper_layouts, extra_flag, figure_setup, kernel_records, measure_paper_figure,
+    paper_figures, search_row, select_records, ArgError, CommonArgs, ExecCtx, SearchRowCfg,
+    EXIT_CODE_TABLE,
 };
 use slopt_core::{to_dot, DotOptions, ToolParams};
 use slopt_fault::exit;
@@ -15,9 +16,9 @@ use slopt_ir::types::RecordId;
 use slopt_search::{Portfolio, SearchParams};
 use slopt_sim::AccessClass;
 use slopt_workload::{
-    analyze_obs, baseline_layouts, build_kernel, compute_paper_layouts_jobs_obs, layouts_with,
-    measure, run_once_obs, search_for_obs, stress_records, stress_workload, suggest_for_obs,
-    validate_top_k, AnalysisConfig, KernelAnalysis, LayoutKind, Machine, SdetConfig, WorkloadSpec,
+    analyze_obs, baseline_layouts, build_kernel, measure, parse_workload_file, run_once_obs,
+    stress_workload, suggest_for_obs, workload_records, AnalysisConfig, CustomWorkload, Machine,
+    SdetConfig, WorkloadSpec,
 };
 use std::path::PathBuf;
 
@@ -48,14 +49,6 @@ impl CliError {
         }
     }
 
-    /// Partial results under permanent faults: exit [`exit::DEGRADED`].
-    pub(crate) fn degraded(message: impl Into<String>) -> CliError {
-        CliError {
-            message: message.into(),
-            code: exit::DEGRADED,
-        }
-    }
-
     /// Everything else: exit [`exit::FAILURE`].
     pub(crate) fn failure(message: impl Into<String>) -> CliError {
         CliError {
@@ -72,6 +65,12 @@ impl std::fmt::Display for CliError {
 }
 
 impl std::error::Error for CliError {}
+
+impl From<ArgError> for CliError {
+    fn from(e: ArgError) -> CliError {
+        CliError::usage(e.to_string())
+    }
+}
 
 /// Prints usage.
 pub fn print_help() {
@@ -154,31 +153,6 @@ OBSERVABILITY (advise, simulate, figures, search):
     );
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.windows(2)
-        .find(|w| w[0] == name)
-        .map(|w| w[1].as_str())
-}
-
-/// The serial [`ExecCtx`] of the lightweight subcommands (`advise`,
-/// `simulate`): only the `--trace-out <path>` / `--stats` observability
-/// flags apply, so the rest of their arguments stay leniently parsed.
-fn obs_ctx(args: &[String]) -> Result<ExecCtx, CliError> {
-    let trace_out = flag_value(args, "--trace-out");
-    let stats = args.iter().any(|a| a == "--stats");
-    let obs = slopt_obs::obs_from_flags(trace_out, stats).map_err(|e| {
-        CliError::failure(format!(
-            "cannot open trace output {}: {e}",
-            trace_out.unwrap_or("<none>")
-        ))
-    })?;
-    Ok(ExecCtx {
-        stats,
-        trace_out: trace_out.map(str::to_string),
-        ..ExecCtx::bare(1).with_obs(obs)
-    })
-}
-
 fn parse_machine(spec: &str) -> Result<Machine, String> {
     if spec == "bus4" {
         return Ok(Machine::bus(4));
@@ -200,55 +174,116 @@ fn parse_machine(spec: &str) -> Result<Machine, String> {
     Err(format!("unknown machine `{spec}` (bus4, busN, superdomeN)"))
 }
 
-/// `slopt-tool advise`.
-pub fn advise(args: &[String]) -> Result<(), CliError> {
-    if let Some(path) = flag_value(args, "--program") {
-        return advise_custom(path, args);
-    }
-    let kernel = build_kernel();
-    let letter = flag_value(args, "--struct")
-        .unwrap_or("A")
-        .to_ascii_uppercase();
-    let rec = kernel
-        .records
-        .all()
-        .iter()
-        .find(|(l, _)| l.to_string() == letter)
-        .map(|&(_, r)| r)
-        .ok_or_else(|| CliError::usage(format!("no struct `{letter}` (use A..E)")))?;
-    let cpus = parse_cpus(args)?;
+/// Parses the shared execution-context flags strictly — unknown flags and
+/// flags missing their value are usage errors — and builds the
+/// [`ExecCtx`] a subcommand runs under. `extras` registers the
+/// subcommand's own flags, read with [`extra_flag`].
+fn exec_ctx(args: &[String], extras: &[(&str, bool)]) -> Result<(CommonArgs, ExecCtx), CliError> {
+    let common = CommonArgs::parse_with(args, extras)?;
+    let ctx = common.try_ctx().map_err(CliError::failure)?;
+    Ok((common, ctx))
+}
 
-    let sdet = SdetConfig::default();
-    let analysis_cfg = AnalysisConfig {
+/// The measurement-run configuration of `advise` and `search`: the
+/// 16-way default, or `--cpus N` (1..=128).
+fn analysis_config(args: &[String]) -> Result<AnalysisConfig, CliError> {
+    let cpus = extra_flag(args, "--cpus")?.unwrap_or(16);
+    if !(1..=128).contains(&cpus) {
+        return Err(CliError::usage(format!(
+            "--cpus {cpus} out of range (1..=128)"
+        )));
+    }
+    Ok(AnalysisConfig {
         machine: Machine::superdome(cpus),
         ..Default::default()
-    };
+    })
+}
+
+/// Reads and parses a `--program` workload file.
+fn load_program(path: &str) -> Result<CustomWorkload, CliError> {
+    let input = std::fs::read_to_string(path)
+        .map_err(|e| CliError::bad_input(format!("reading {path}: {e}")))?;
+    parse_workload_file(&input).map_err(|e| CliError::bad_input(format!("{path}:{e}")))
+}
+
+/// `slopt-tool advise`: the measurement run on the built-in kernel or a
+/// `--program` workload file, then the layout advisory for one record
+/// (`--struct`, default the first).
+pub fn advise(args: &[String]) -> Result<(), CliError> {
+    let (_common, ctx) = exec_ctx(
+        args,
+        &[
+            ("--struct", true),
+            ("--out", true),
+            ("--cpus", true),
+            ("--program", true),
+        ],
+    )?;
+    let analysis_cfg = analysis_config(args)?;
+    let out: Option<PathBuf> = extra_flag(args, "--out")?;
+    let program: Option<String> = extra_flag(args, "--program")?;
+    let custom = program.as_deref().map(load_program).transpose()?;
+    let wanted = struct_flag(args, custom.is_none())?;
+    let wanted = wanted.as_deref();
     eprintln!(
-        "[advise] measuring on {} ...",
+        "[advise] measuring {}on {} ...",
+        program
+            .as_ref()
+            .map_or(String::new(), |p| format!("`{p}` ")),
         analysis_cfg.machine.topo.name()
     );
-    let ctx = obs_ctx(args)?;
-    let analysis = analyze_obs(&kernel, &sdet, &analysis_cfg, &ctx.obs);
-    let suggestion = suggest_for_obs(&kernel, &analysis, rec, ToolParams::default(), &ctx.obs);
-    let ty = kernel.record_type(rec);
+    match &custom {
+        Some(w) => advise_on(w, workload_records(w), wanted, &analysis_cfg, out, &ctx)?,
+        None => {
+            let k = build_kernel();
+            advise_on(&k, kernel_records(&k), wanted, &analysis_cfg, out, &ctx)?;
+        }
+    }
+    ctx.finish();
+    Ok(())
+}
 
-    println!("{}", suggestion.report);
-    println!("{}", suggestion.layout.to_annotated_string(ty));
+/// `--struct NAME`; the built-in kernel's struct letters match
+/// case-insensitively.
+fn struct_flag(args: &[String], kernel: bool) -> Result<Option<String>, CliError> {
+    let wanted: Option<String> = extra_flag(args, "--struct")?;
+    Ok(wanted.map(|s| if kernel { s.to_ascii_uppercase() } else { s }))
+}
 
-    if let Some(dir) = flag_value(args, "--out") {
-        let dir = PathBuf::from(dir);
+/// The one `advise` body: measure, suggest for the first selected
+/// record (an unknown `--struct` is a usage error), print the advisory,
+/// and with `out` write `<name>.layout.txt` and `<name>.flg.dot` there.
+fn advise_on<W: WorkloadSpec>(
+    w: &W,
+    all: Vec<(String, RecordId)>,
+    wanted: Option<&str>,
+    analysis_cfg: &AnalysisConfig,
+    out: Option<PathBuf>,
+    ctx: &ExecCtx,
+) -> Result<(), CliError> {
+    let records = select_records(all, wanted).map_err(CliError::usage)?;
+    let Some(&(_, rec)) = records.first() else {
+        return Err(CliError::bad_input("the workload declares no records"));
+    };
+    let analysis = analyze_obs(w, &SdetConfig::default(), analysis_cfg, &ctx.obs);
+    let suggestion = suggest_for_obs(w, &analysis, rec, ToolParams::default(), &ctx.obs);
+    let ty = w.record_type(rec);
+    let advisory = format!(
+        "{}\n{}",
+        suggestion.report,
+        suggestion.layout.to_annotated_string(ty)
+    );
+    println!("{advisory}");
+
+    if let Some(dir) = out {
         std::fs::create_dir_all(&dir)
             .map_err(|e| CliError::failure(format!("creating {}: {e}", dir.display())))?;
+        let write = |path: &PathBuf, text: &str| {
+            std::fs::write(path, text)
+                .map_err(|e| CliError::failure(format!("writing {}: {e}", path.display())))
+        };
         let layout_path = dir.join(format!("{}.layout.txt", ty.name()));
-        std::fs::write(
-            &layout_path,
-            format!(
-                "{}\n{}",
-                suggestion.report,
-                suggestion.layout.to_annotated_string(ty)
-            ),
-        )
-        .map_err(|e| CliError::failure(format!("writing {}: {e}", layout_path.display())))?;
+        write(&layout_path, &advisory)?;
         let dot_path = dir.join(format!("{}.flg.dot", ty.name()));
         let dot = to_dot(
             ty,
@@ -256,82 +291,22 @@ pub fn advise(args: &[String]) -> Result<(), CliError> {
             Some(&suggestion.clustering),
             DotOptions::default(),
         );
-        std::fs::write(&dot_path, dot)
-            .map_err(|e| CliError::failure(format!("writing {}: {e}", dot_path.display())))?;
+        write(&dot_path, &dot)?;
         println!(
             "wrote {} and {} (render with `dot -Tsvg`)",
             layout_path.display(),
             dot_path.display()
         );
     }
-    ctx.finish();
-    Ok(())
-}
-
-/// `slopt-tool advise --program <file>`: run the pipeline on a
-/// user-supplied workload file (`.sir` program + `workload` section).
-fn advise_custom(path: &str, args: &[String]) -> Result<(), CliError> {
-    use slopt_workload::WorkloadSpec as _;
-    let input = std::fs::read_to_string(path)
-        .map_err(|e| CliError::bad_input(format!("reading {path}: {e}")))?;
-    let workload = slopt_workload::parse_workload_file(&input)
-        .map_err(|e| CliError::bad_input(format!("{path}:{e}")))?;
-
-    let cpus = parse_cpus(args)?;
-    let rec = match flag_value(args, "--struct") {
-        Some(name) => workload
-            .program()
-            .registry()
-            .lookup(name)
-            .ok_or_else(|| CliError::bad_input(format!("no record `{name}` in {path}")))?,
-        None => {
-            let mut it = workload.program().registry().records();
-            it.next()
-                .map(|(r, _)| r)
-                .ok_or_else(|| CliError::bad_input(format!("{path} declares no records")))?
-        }
-    };
-
-    let sdet = SdetConfig::default();
-    let analysis_cfg = AnalysisConfig {
-        machine: Machine::superdome(cpus),
-        ..Default::default()
-    };
-    eprintln!(
-        "[advise] measuring `{path}` on {} ...",
-        analysis_cfg.machine.topo.name()
-    );
-    let ctx = obs_ctx(args)?;
-    let analysis = analyze_obs(&workload, &sdet, &analysis_cfg, &ctx.obs);
-    let suggestion = suggest_for_obs(&workload, &analysis, rec, ToolParams::default(), &ctx.obs);
-    let ty = workload.record_type(rec);
-
-    println!("{}", suggestion.report);
-    println!("{}", suggestion.layout.to_annotated_string(ty));
-
-    if let Some(dir) = flag_value(args, "--out") {
-        let dir = PathBuf::from(dir);
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| CliError::failure(format!("creating {}: {e}", dir.display())))?;
-        let dot_path = dir.join(format!("{}.flg.dot", ty.name()));
-        let dot = to_dot(
-            ty,
-            &suggestion.flg,
-            Some(&suggestion.clustering),
-            DotOptions::default(),
-        );
-        std::fs::write(&dot_path, dot)
-            .map_err(|e| CliError::failure(format!("writing {}: {e}", dot_path.display())))?;
-        println!("wrote {}", dot_path.display());
-    }
-    ctx.finish();
     Ok(())
 }
 
 /// `slopt-tool simulate`.
 pub fn simulate(args: &[String]) -> Result<(), CliError> {
-    let machine = parse_machine(flag_value(args, "--machine").unwrap_or("superdome16"))
-        .map_err(CliError::usage)?;
+    let (_common, ctx) = exec_ctx(args, &[("--machine", true)])?;
+    let spec: Option<String> = extra_flag(args, "--machine")?;
+    let machine =
+        parse_machine(spec.as_deref().unwrap_or("superdome16")).map_err(CliError::usage)?;
     let kernel = build_kernel();
     let sdet = SdetConfig::default();
     let layouts = baseline_layouts(&kernel, sdet.line_size);
@@ -339,8 +314,6 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
         "[simulate] running SDET-like workload on {} ...",
         machine.topo.name()
     );
-    let ctx = obs_ctx(args)?;
-    let obs = &ctx.obs;
     let run = run_once_obs(
         &kernel,
         &layouts,
@@ -348,7 +321,7 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
         &sdet,
         1,
         &mut slopt_sim::NullObserver,
-        obs,
+        &ctx.obs,
     );
     println!(
         "throughput: {:.1} scripts/Mcycle over {} cycles ({} scripts)",
@@ -375,110 +348,31 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses the optional `--cpus N` flag (1..=128, default 16).
-fn parse_cpus(args: &[String]) -> Result<usize, CliError> {
-    let cpus: usize = match flag_value(args, "--cpus") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("bad --cpus `{v}`")))?,
-        None => 16,
-    };
-    if cpus == 0 || cpus > 128 {
-        return Err(CliError::usage(format!(
-            "--cpus {cpus} out of range (1..=128)"
-        )));
-    }
-    Ok(cpus)
-}
-
-/// Parses the shared execution-context flags and builds the [`ExecCtx`]
-/// the heavier subcommands run under. `extras` registers the
-/// subcommand's own flags so strict parsing doesn't reject them.
-fn exec_ctx(args: &[String], extras: &[(&str, bool)]) -> Result<(CommonArgs, ExecCtx), CliError> {
-    let common =
-        CommonArgs::parse_with(args, extras).map_err(|e| CliError::usage(e.to_string()))?;
-    let ctx = common.try_ctx().map_err(CliError::failure)?;
-    Ok((common, ctx))
-}
-
-/// `slopt-tool figures`.
+/// `slopt-tool figures`: the paper's Figures 8, 9 and 10 over one layout
+/// derivation, then a baseline sanity line.
 pub fn figures(args: &[String]) -> Result<(), CliError> {
     let (common, ctx) = exec_ctx(args, &[])?;
-    let FigureSetup {
-        kernel,
-        sdet,
-        analysis,
-        tool,
-        runs,
-        jobs,
-    } = figure_setup(&common);
-    eprintln!("[figures] measurement + layout derivation ({jobs} jobs) ...");
-    let layouts = compute_paper_layouts_jobs_obs(&kernel, &sdet, &analysis, tool, jobs, &ctx.obs);
-
-    for (name, machine, kinds, title) in [
-        (
-            "fig8",
-            Machine::superdome(128),
-            vec![LayoutKind::Tool, LayoutKind::SortByHotness],
-            "Figure 8 (128-way)",
-        ),
-        (
-            "fig9",
-            Machine::bus(4),
-            vec![LayoutKind::Tool, LayoutKind::SortByHotness],
-            "Figure 9 (4-way)",
-        ),
-        (
-            "fig10",
-            Machine::superdome(128),
-            vec![LayoutKind::Tool, LayoutKind::Constrained],
-            "Figure 10 (best layouts)",
-        ),
-    ] {
-        eprintln!("[figures] {} ...", title);
-        let FigureOutcome {
-            figure: fig,
-            cells,
-            report,
-        } = figure(
-            &ctx, name, &kernel, &machine, &sdet, runs, &layouts, &kinds, title,
-        )
-        .map_err(|e| CliError::failure(format!("{title}: {e}")))?;
-        // The shared complete-vs-degraded decision: a complete grid prints
-        // its figure; permanent faults print the partial table and turn
-        // into the degraded exit code.
-        match (resolve(name, cells, &report), fig) {
-            (Ok(_), Some(fig)) => println!("{fig}"),
-            (Ok(_), None) => {
-                ctx.finish();
-                return Err(CliError::failure(format!(
-                    "{title}: complete grid produced no figure"
-                )));
+    let setup = figure_setup(&common);
+    let layouts = derive_paper_layouts(&ctx, &setup, "figures");
+    for spec in paper_figures() {
+        let fig = measure_paper_figure(&ctx, &setup, &layouts, &spec).map_err(|e| {
+            ctx.finish();
+            CliError {
+                message: format!("{}: {e}", spec.title),
+                code: e.exit_code(),
             }
-            (Err(degraded), _) => {
-                ctx.finish();
-                return Err(CliError::degraded(format!(
-                    "{title}: {} grid item(s) poisoned — partial results above",
-                    degraded.poisoned
-                )));
-            }
-        }
+        })?;
+        println!("{fig}");
     }
     // A tiny shared-measure sanity line so users see the baseline too.
+    let (kernel, sdet) = (&setup.kernel, &setup.sdet);
     let base = measure(
-        &kernel,
-        &layouts_with(
-            &kernel,
-            sdet.line_size,
-            kernel.records.a,
-            baseline_layouts(&kernel, sdet.line_size)
-                .layout(kernel.records.a)
-                .clone(),
-        ),
+        kernel,
+        &baseline_layouts(kernel, sdet.line_size),
         &Machine::superdome(128),
-        &sdet,
-        runs,
-        jobs,
+        sdet,
+        setup.runs,
+        setup.jobs,
     );
     println!("(baseline sanity: {:.1} scripts/Mcycle)", base.mean);
     ctx.finish();
@@ -491,14 +385,6 @@ pub fn figures(args: &[String]) -> Result<(), CliError> {
 /// the winner in simulated cycles. Deterministic per `--seed` and
 /// bit-identical for every `--jobs` value.
 pub fn search(args: &[String]) -> Result<(), CliError> {
-    let usage = |e: ArgError| CliError::usage(e.to_string());
-    let seed = extra_flag(args, "--seed", 42u64).map_err(usage)?;
-    let chains = extra_flag(args, "--chains", 6usize).map_err(usage)?.max(1);
-    let steps = extra_flag(args, "--steps", 1_200usize).map_err(usage)?;
-    let top = extra_flag(args, "--validate-top", 2usize)
-        .map_err(usage)?
-        .max(1);
-    let cpus = parse_cpus(args)?;
     let (_common, ctx) = exec_ctx(
         args,
         &[
@@ -512,143 +398,90 @@ pub fn search(args: &[String]) -> Result<(), CliError> {
             ("--stress", false),
         ],
     )?;
-    let jobs = ctx.jobs;
-    let obs = ctx.obs.clone();
+    let seed = extra_flag(args, "--seed")?.unwrap_or(42u64);
+    let chains = extra_flag(args, "--chains")?.unwrap_or(6usize).max(1);
+    let steps = extra_flag(args, "--steps")?.unwrap_or(1_200usize);
+    let top = extra_flag(args, "--validate-top")?.unwrap_or(2usize).max(1);
+    let analysis_cfg = analysis_config(args)?;
+    let program: Option<String> = extra_flag(args, "--program")?;
+    let stress = args.iter().any(|a| a == "--stress");
+    let wanted = struct_flag(args, !stress && program.is_none())?;
+    let wanted = wanted.as_deref();
+    if stress && program.is_some() {
+        return Err(CliError::usage("--stress and --program are exclusive"));
+    }
 
     let params = SearchParams {
         steps,
         ..SearchParams::default()
     };
-    let portfolio = Portfolio {
-        chains,
-        master_seed: seed,
-    };
-    let stress = args.iter().any(|a| a == "--stress");
-    if stress && flag_value(args, "--program").is_some() {
-        return Err(CliError::usage("--stress and --program are exclusive"));
-    }
-
-    let analysis_cfg = AnalysisConfig {
-        machine: Machine::superdome(cpus),
-        ..Default::default()
-    };
     let sdet = SdetConfig::default();
+    let cfg = SearchRowCfg {
+        sdet: &sdet,
+        tool: ToolParams::default(),
+        params: &params,
+        portfolio: Portfolio {
+            chains,
+            master_seed: seed,
+        },
+        machine: &Machine::superdome(16),
+        runs: 5,
+        jobs: ctx.jobs,
+        top,
+    };
     eprintln!("[search] seed {seed}, {chains} chains x {steps} steps, validating top {top} ...");
 
-    let better = if stress {
+    let obs = &ctx.obs;
+    let (better, total) = if stress {
         let w = stress_workload();
-        let records = select_records(stress_records(&w), flag_value(args, "--struct"))?;
-        let analysis = analyze_obs(&w, &sdet, &analysis_cfg, &obs);
-        search_table(
-            &w, &records, &analysis, &sdet, &params, portfolio, top, jobs, &obs,
-        )
-    } else if let Some(path) = flag_value(args, "--program") {
-        let input = std::fs::read_to_string(path)
-            .map_err(|e| CliError::bad_input(format!("reading {path}: {e}")))?;
-        let w = slopt_workload::parse_workload_file(&input)
-            .map_err(|e| CliError::bad_input(format!("{path}:{e}")))?;
-        let all: Vec<(String, RecordId)> = w
-            .program()
-            .registry()
-            .records()
-            .map(|(id, ty)| (ty.name().to_string(), id))
-            .collect();
-        let records = select_records(all, flag_value(args, "--struct"))?;
-        let analysis = analyze_obs(&w, &sdet, &analysis_cfg, &obs);
-        search_table(
-            &w, &records, &analysis, &sdet, &params, portfolio, top, jobs, &obs,
-        )
+        search_table(&w, workload_records(&w), wanted, &analysis_cfg, &cfg, obs)?
+    } else if let Some(path) = &program {
+        let w = load_program(path)?;
+        search_table(&w, workload_records(&w), wanted, &analysis_cfg, &cfg, obs)?
     } else {
-        let kernel = build_kernel();
-        let all: Vec<(String, RecordId)> = kernel
-            .records
-            .all()
-            .iter()
-            .map(|&(l, r)| (l.to_string(), r))
-            .collect();
-        let wanted = flag_value(args, "--struct").map(str::to_ascii_uppercase);
-        let records = select_records(all, wanted.as_deref())?;
-        let analysis = analyze_obs(&kernel, &sdet, &analysis_cfg, &obs);
-        search_table(
-            &kernel, &records, &analysis, &sdet, &params, portfolio, top, jobs, &obs,
-        )
+        let k = build_kernel();
+        search_table(&k, kernel_records(&k), wanted, &analysis_cfg, &cfg, obs)?
     };
-    let (better, total) = better;
     println!("search: strictly better objective than greedy on {better}/{total} structs");
     ctx.finish();
     Ok(())
 }
 
-/// Filters a record list down to `--struct NAME` when given.
-fn select_records(
-    all: Vec<(String, RecordId)>,
-    wanted: Option<&str>,
-) -> Result<Vec<(String, RecordId)>, CliError> {
-    match wanted {
-        None => Ok(all),
-        Some(name) => {
-            let hit: Vec<_> = all.iter().filter(|(n, _)| n == name).cloned().collect();
-            if hit.is_empty() {
-                let known: Vec<&str> = all.iter().map(|(n, _)| n.as_str()).collect();
-                return Err(CliError::usage(format!(
-                    "no struct `{name}` (known: {})",
-                    known.join(", ")
-                )));
-            }
-            Ok(hit)
-        }
-    }
-}
-
-/// Runs the greedy-vs-search comparison over one workload's records and
-/// prints its table. Returns `(strictly_better, total)`.
-#[allow(clippy::too_many_arguments)]
+/// Measures one workload and prints the greedy-vs-search table over
+/// its selected records (an unknown `--struct` is a usage error).
+/// Returns `(strictly_better, total)`.
 fn search_table<W: WorkloadSpec + Sync>(
     w: &W,
-    records: &[(String, RecordId)],
-    analysis: &KernelAnalysis,
-    sdet: &SdetConfig,
-    params: &SearchParams,
-    portfolio: Portfolio,
-    top: usize,
-    jobs: usize,
+    all: Vec<(String, RecordId)>,
+    wanted: Option<&str>,
+    analysis_cfg: &AnalysisConfig,
+    cfg: &SearchRowCfg<'_>,
     obs: &slopt_obs::Obs,
-) -> (usize, usize) {
-    let tool = ToolParams::default();
-    let machine = Machine::superdome(16);
-    let runs = 5;
+) -> Result<(usize, usize), CliError> {
+    let records = select_records(all, wanted).map_err(CliError::usage)?;
+    let analysis = analyze_obs(w, cfg.sdet, analysis_cfg, obs);
     println!(
         "{:<12} {:>14} {:>14} {:>12}  {:>10}",
         "struct", "greedy obj", "search obj", "delta", "sim-vs-tool%"
     );
     let mut better = 0usize;
-    for (name, rec) in records {
-        let rec = *rec;
-        let search = search_for_obs(w, analysis, rec, tool, params, portfolio, jobs, obs);
-        let (validated, best_i) = validate_top_k(w, &search, tool, &machine, sdet, top, runs, jobs);
-        let suggestion = suggest_for_obs(w, analysis, rec, tool, obs);
-        let tool_tp = measure(
-            w,
-            &layouts_with(w, sdet.line_size, rec, suggestion.layout.clone()),
-            &machine,
-            sdet,
-            runs,
-            jobs,
-        );
-        let win = search.outcome.winner();
-        if search.outcome.improved() {
+    for (name, rec) in &records {
+        let row = search_row(w, &analysis, *rec, cfg, obs);
+        let outcome = &row.search.outcome;
+        let win = outcome.winner();
+        if outcome.improved() {
             better += 1;
         }
         println!(
             "{:<12} {:>14.6} {:>14.6} {:>+12.6}  {:>+10.2}",
             name,
-            search.outcome.greedy_score,
+            outcome.greedy_score,
             win.score,
-            win.score - search.outcome.greedy_score,
-            validated[best_i].throughput.pct_vs(&tool_tp),
+            win.score - outcome.greedy_score,
+            row.best.pct_vs(&row.tool),
         );
     }
-    (better, records.len())
+    Ok((better, records.len()))
 }
 
 /// `slopt-tool stats <trace.jsonl> [--prom]`: replay a saved
@@ -656,15 +489,13 @@ fn search_table<W: WorkloadSpec + Sync>(
 /// histogram table it implies — or, with `--prom`, the same aggregates in
 /// Prometheus text exposition format (self-checked before printing).
 pub fn stats(args: &[String]) -> Result<(), CliError> {
+    CommonArgs::parse_with(args, &[("--prom", false)])?;
     let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
         return Err(CliError::usage(
             "usage: slopt-tool stats <trace.jsonl> [--prom]",
         ));
     };
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::bad_input(format!("reading {path}: {e}")))?;
-    let summary = slopt_obs::replay::replay_str(&text)
-        .map_err(|e| CliError::bad_input(format!("{path}: {e}")))?;
+    let summary = replay_trace(path)?;
     if args.iter().any(|a| a == "--prom") {
         let snap = slopt_obs::prom::MetricsSnapshot::from_replay(&summary);
         let exposition = snap.to_prometheus();
@@ -683,15 +514,19 @@ pub fn stats(args: &[String]) -> Result<(), CliError> {
 /// `path;to;frame <self_us>` line per distinct span stack. Pipe through
 /// `flamegraph.pl` or `inferno-flamegraph` to render an SVG.
 pub fn flame(args: &[String]) -> Result<(), CliError> {
+    CommonArgs::parse(args)?;
     let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
         return Err(CliError::usage("usage: slopt-tool flame <trace.jsonl>"));
     };
+    print!("{}", slopt_obs::flame::folded(&replay_trace(path)?));
+    Ok(())
+}
+
+/// Reads and replays a saved `slopt-trace/1` run trace.
+fn replay_trace(path: &str) -> Result<slopt_obs::replay::ReplaySummary, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::bad_input(format!("reading {path}: {e}")))?;
-    let summary = slopt_obs::replay::replay_str(&text)
-        .map_err(|e| CliError::bad_input(format!("{path}: {e}")))?;
-    print!("{}", slopt_obs::flame::folded(&summary));
-    Ok(())
+    slopt_obs::replay::replay_str(&text).map_err(|e| CliError::bad_input(format!("{path}: {e}")))
 }
 
 /// `slopt-tool serve` — talk to a running `slopt-serve` daemon.
@@ -702,52 +537,49 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
              (try `slopt-tool help`)",
         ));
     };
+    let (common, ctx) = exec_ctx(
+        args,
+        &[
+            ("--addr", true),
+            ("--state-dir", true),
+            ("--dir", true),
+            ("--client-id", true),
+        ],
+    )?;
     let addr = serve_addr(args)?;
     let mut client = slopt_serve::Client::new(addr);
-    match action.as_str() {
-        "health" => {
-            let line = client
-                .health()
-                .map_err(|e| CliError::failure(e.to_string()))?;
-            println!("{line}");
-            Ok(())
-        }
-        "advise" => {
-            let text = client
-                .advise()
-                .map_err(|e| CliError::failure(e.to_string()))?;
-            print!("{text}");
-            Ok(())
-        }
-        "metrics" => {
-            let text = client
-                .metrics()
-                .map_err(|e| CliError::failure(e.to_string()))?;
-            print!("{text}");
-            Ok(())
-        }
-        "drain" => {
-            let ack = client
-                .drain()
-                .map_err(|e| CliError::failure(e.to_string()))?;
-            println!("{ack}");
-            Ok(())
-        }
-        "ingest" => serve_ingest(args, &mut client),
+    let failure = |e: std::io::Error| CliError::failure(e.to_string());
+    let result = match action.as_str() {
+        "health" => client
+            .health()
+            .map(|line| println!("{line}"))
+            .map_err(failure),
+        "advise" => client
+            .advise()
+            .map(|text| print!("{text}"))
+            .map_err(failure),
+        "metrics" => client
+            .metrics()
+            .map(|text| print!("{text}"))
+            .map_err(failure),
+        "drain" => client.drain().map(|ack| println!("{ack}")).map_err(failure),
+        "ingest" => serve_ingest(args, &common, &ctx, &mut client),
         other => Err(CliError::usage(format!(
             "unknown serve action `{other}` (health | advise | metrics | drain | ingest)"
         ))),
-    }
+    };
+    ctx.finish();
+    result
 }
 
 /// Resolves the daemon address: `--addr` wins, else `--state-dir`'s
 /// published `addr` file (written by the daemon at bind time).
 fn serve_addr(args: &[String]) -> Result<String, CliError> {
-    if let Some(addr) = flag_value(args, "--addr") {
-        return Ok(addr.to_string());
+    if let Some(addr) = extra_flag(args, "--addr")? {
+        return Ok(addr);
     }
-    if let Some(dir) = flag_value(args, "--state-dir") {
-        let path = std::path::Path::new(dir).join("addr");
+    if let Some(dir) = extra_flag::<PathBuf>(args, "--state-dir")? {
+        let path = dir.join("addr");
         let addr = std::fs::read_to_string(&path).map_err(|e| {
             CliError::bad_input(format!(
                 "cannot read the daemon's published address {}: {e}",
@@ -764,36 +596,27 @@ fn serve_addr(args: &[String]) -> Result<String, CliError> {
 /// `slopt-tool serve ingest`: stream every `*.slshard` under `--dir` to
 /// the daemon as one collector, in deterministic (path-sorted) order,
 /// with per-batch retry/backoff on transient failures.
-fn serve_ingest(args: &[String], client: &mut slopt_serve::Client) -> Result<(), CliError> {
-    let Some(dir) = flag_value(args, "--dir") else {
+fn serve_ingest(
+    args: &[String],
+    common: &CommonArgs,
+    ctx: &ExecCtx,
+    client: &mut slopt_serve::Client,
+) -> Result<(), CliError> {
+    let Some(dir) = extra_flag::<String>(args, "--dir")? else {
         return Err(CliError::usage(
             "serve ingest needs --dir DIR (shard files)",
         ));
     };
-    let client_id: u64 = match flag_value(args, "--client-id") {
-        None => 0,
-        Some(raw) => raw.parse().map_err(|_| {
-            CliError::usage(format!(
-                "bad value `{raw}` for --client-id (expected an unsigned integer)"
-            ))
-        })?,
-    };
-    let plan = match flag_value(args, "--fault-plan") {
-        None => slopt_fault::FaultPlan::none(),
-        Some(spec) => slopt_fault::FaultPlan::parse(spec)
-            .map_err(|e| CliError::usage(format!("bad value for --fault-plan: {e}")))?,
-    };
-    let max_retries: u32 = match flag_value(args, "--max-retries") {
-        None => 8,
-        Some(raw) => raw.parse().map_err(|_| {
-            CliError::usage(format!(
-                "bad value `{raw}` for --max-retries (expected an unsigned integer)"
-            ))
-        })?,
-    };
+    let client_id = extra_flag(args, "--client-id")?.unwrap_or(0u64);
+    let plan = common
+        .fault
+        .as_ref()
+        .map_or_else(slopt_fault::FaultPlan::none, |f| f.plan.clone());
+    // A collector retries harder than a grid item: 8 unless given.
+    let max_retries = extra_flag(args, "--max-retries")?.unwrap_or(8u32);
 
     let mut files: Vec<std::path::PathBuf> = Vec::new();
-    collect_shard_files(std::path::Path::new(dir), &mut files)
+    collect_shard_files(std::path::Path::new(&dir), &mut files)
         .map_err(|e| CliError::bad_input(format!("walking {dir}: {e}")))?;
     files.sort();
     if files.is_empty() {
@@ -801,7 +624,6 @@ fn serve_ingest(args: &[String], client: &mut slopt_serve::Client) -> Result<(),
             "no *.slshard files under {dir}"
         )));
     }
-    let obs = slopt_obs::Obs::disabled();
     for (seq, path) in files.iter().enumerate() {
         let samples = slopt_sample::read_shard(path)
             .map_err(|e| CliError::bad_input(format!("reading {}: {e}", path.display())))?;
@@ -811,7 +633,7 @@ fn serve_ingest(args: &[String], client: &mut slopt_serve::Client) -> Result<(),
             samples,
         };
         let ack = client
-            .ingest(&batch, &plan, max_retries, &obs)
+            .ingest(&batch, &plan, max_retries, &ctx.obs)
             .map_err(|e| CliError::failure(e.to_string()))?;
         println!("[ingest] client {client_id} seq {seq}: {ack}");
     }
@@ -851,15 +673,28 @@ mod tests {
         assert!(parse_machine("busx").is_err());
     }
 
+    fn strs(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// `advise` and `simulate` parse as strictly as `figures`/`search`:
+    /// a misspelt or valueless flag is a usage error, not a silent
+    /// default (`--strcut B` used to print struct A's advice).
     #[test]
-    fn flags_parse_positionally() {
-        let args: Vec<String> = ["--struct", "B", "--out", "/tmp/x"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(flag_value(&args, "--struct"), Some("B"));
-        assert_eq!(flag_value(&args, "--out"), Some("/tmp/x"));
-        assert_eq!(flag_value(&args, "--cpus"), None);
+    fn advise_and_simulate_reject_unknown_and_valueless_flags() {
+        let err = advise(&strs(&["--strcut", "B"])).unwrap_err();
+        assert_eq!(err.code, exit::USAGE);
+        assert!(err.message.contains("--strcut"), "{}", err.message);
+        let err = advise(&strs(&["--struct"])).unwrap_err();
+        assert_eq!(err.code, exit::USAGE);
+        assert!(err.message.contains("needs a value"), "{}", err.message);
+        assert_eq!(simulate(&strs(&["--bogus"])).unwrap_err().code, exit::USAGE);
+        assert_eq!(
+            serve(&strs(&["health", "--addr", "127.0.0.1:1", "--bogus"]))
+                .unwrap_err()
+                .code,
+            exit::USAGE
+        );
     }
 
     #[test]
@@ -946,10 +781,10 @@ mod tests {
     #[test]
     fn cpus_flag_is_a_usage_error_when_out_of_range() {
         for bad in [["--cpus", "0"], ["--cpus", "999"], ["--cpus", "x"]] {
-            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            assert_eq!(parse_cpus(&args).unwrap_err().code, exit::USAGE, "{bad:?}");
+            let err = analysis_config(&strs(&bad)).unwrap_err();
+            assert_eq!(err.code, exit::USAGE, "{bad:?}");
         }
-        assert_eq!(parse_cpus(&[]).unwrap(), 16);
+        assert_eq!(analysis_config(&[]).unwrap().machine.cpus(), 16);
     }
 
     #[test]

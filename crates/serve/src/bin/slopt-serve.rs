@@ -2,7 +2,7 @@
 //! reference (`--offline DIR`), and deterministic CI shard emission
 //! (`--emit-samples DIR`).
 
-use slopt_bench::{CheckpointSpec, CommonArgs};
+use slopt_bench::{extra_flag, usage_exit, CommonArgs};
 use slopt_fault::{exit, FaultPlan};
 use slopt_ir::SupervisePolicy;
 use slopt_obs::Obs;
@@ -71,20 +71,10 @@ fn install_sigterm() {
     }
 }
 
-fn extra_value(argv: &[String], flag: &str) -> Option<String> {
-    argv.iter()
-        .rposition(|a| a == flag)
-        .and_then(|i| argv.get(i + 1).cloned())
-}
-
-fn extra_u64(argv: &[String], flag: &str, default: u64) -> u64 {
-    match extra_value(argv, flag) {
-        None => default,
-        Some(raw) => raw.parse().unwrap_or_else(|_| {
-            eprintln!("slopt-serve: bad value `{raw}` for {flag} (expected an unsigned integer)");
-            std::process::exit(i32::from(exit::USAGE));
-        }),
-    }
+/// Reads a registered `slopt-serve` flag through the shared strict
+/// parser; a malformed value is a positional usage error (exit 2).
+fn flag<T: std::str::FromStr>(argv: &[String], name: &str) -> Option<T> {
+    extra_flag(argv, name).unwrap_or_else(|e| usage_exit("slopt-serve", &e))
 }
 
 fn main() {
@@ -92,20 +82,13 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
 
     let serve = ServeConfig {
-        interval: extra_u64(&argv, "--interval", 6_000),
-        window: extra_u64(&argv, "--window", 4_096),
+        interval: flag(&argv, "--interval").unwrap_or(6_000),
+        window: flag(&argv, "--window").unwrap_or(4_096),
     };
-    let plan = args
-        .fault
-        .as_ref()
-        .map(|f| f.plan.clone())
-        .unwrap_or_else(FaultPlan::none);
-    let policy = args
-        .fault
-        .as_ref()
-        .map(|f| f.policy.clone())
-        .unwrap_or_default();
-    let max_retries = policy.max_retries;
+    let (plan, policy) = match &args.fault {
+        Some(f) => (f.plan.clone(), f.policy.clone()),
+        None => (FaultPlan::none(), SupervisePolicy::default()),
+    };
 
     // The daemon always aggregates (its /metrics endpoint is live data),
     // upgrading to a trace file under --trace-out.
@@ -117,18 +100,18 @@ fn main() {
         None => Obs::aggregating(),
     };
 
-    let code = if let Some(dir) = extra_value(&argv, "--emit-samples") {
+    let code = if let Some(dir) = flag::<PathBuf>(&argv, "--emit-samples") {
         emit_samples(
-            &PathBuf::from(dir),
+            &dir,
             &serve,
-            extra_u64(&argv, "--clients", 3),
-            extra_u64(&argv, "--batches", 8),
+            flag(&argv, "--clients").unwrap_or(3),
+            flag(&argv, "--batches").unwrap_or(8),
             &obs,
         )
-    } else if let Some(dir) = extra_value(&argv, "--offline") {
+    } else if let Some(dir) = flag::<PathBuf>(&argv, "--offline") {
         offline(
-            &PathBuf::from(dir),
-            extra_value(&argv, "--advice-out"),
+            &dir,
+            flag(&argv, "--advice-out"),
             &serve,
             args.jobs,
             policy,
@@ -136,7 +119,7 @@ fn main() {
             &obs,
         )
     } else {
-        daemon(&args, &argv, serve, policy, plan, max_retries, &obs)
+        daemon(&args, &argv, serve, policy, plan, &obs)
     };
 
     obs.finish();
@@ -153,7 +136,6 @@ fn daemon(
     serve: ServeConfig,
     policy: SupervisePolicy,
     plan: FaultPlan,
-    max_retries: u32,
     obs: &Obs,
 ) -> i32 {
     let Some(spec) = args.checkpoint_spec() else {
@@ -162,16 +144,13 @@ fn daemon(
     };
     install_sigterm();
     let cfg = DaemonConfig {
-        addr: extra_value(argv, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_string()),
-        spec: CheckpointSpec {
-            dir: spec.dir,
-            resume: args.resume,
-        },
+        addr: flag(argv, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_string()),
+        spec,
         serve,
         jobs: args.jobs,
-        reopt_ms: extra_u64(argv, "--reopt-ms", 0),
+        reopt_ms: flag(argv, "--reopt-ms").unwrap_or(0),
         queue: 64,
-        max_retries,
+        max_retries: policy.max_retries,
         policy,
         plan,
     };

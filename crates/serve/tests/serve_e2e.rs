@@ -273,3 +273,24 @@ fn garbage_frames_and_contained_panics_never_kill_the_daemon() {
 
     let _ = std::fs::remove_dir_all(&state_dir);
 }
+
+/// `slopt-serve`'s own flags go through the shared strict reader: a
+/// malformed value is a positional usage error (exit 2) pointing at
+/// `--help`, like every experiment binary's.
+#[test]
+fn malformed_serve_flags_exit_2_with_positional_messages() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_slopt-serve"))
+        .args(["--window", "x"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "--window x must exit 2 (usage)");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("arg 2: ") && err.contains("`x`"),
+        "stderr must carry a positional message naming `x`; got: {err}"
+    );
+    assert!(
+        err.contains("try `slopt-serve --help`"),
+        "stderr must point at --help; got: {err}"
+    );
+}

@@ -53,6 +53,6 @@ pub use sdet::{
 };
 pub use search::{search_for, search_for_obs, validate_top_k, StructSearch, ValidatedCandidate};
 pub use spec::{parse_workload_file, SpecError};
-pub use stress::{stress_records, stress_workload, SEARCH_STRESS_SPEC};
+pub use stress::{stress_workload, workload_records, SEARCH_STRESS_SPEC};
 pub use structs::{KernelRecords, STAT_CLASSES};
 pub use validate::{ground_truth_loss, GroundTruthLoss};

@@ -33,9 +33,10 @@ pub fn stress_workload() -> CustomWorkload {
     parse_workload_file(SEARCH_STRESS_SPEC).expect("embedded stress spec must parse")
 }
 
-/// The stress workload's records as `(name, id)` pairs, in declaration
-/// order — the analogue of `kernel.records.all()` for the stress spec.
-pub fn stress_records(workload: &CustomWorkload) -> Vec<(String, RecordId)> {
+/// A custom workload's records (the stress spec's, or a `--program`
+/// file's) as `(name, id)` pairs, in declaration order — the analogue of
+/// `kernel.records.all()`.
+pub fn workload_records(workload: &CustomWorkload) -> Vec<(String, RecordId)> {
     use crate::kernel::WorkloadSpec as _;
     workload
         .program()
@@ -65,7 +66,7 @@ mod tests {
     #[test]
     fn spec_parses_and_names_two_records() {
         let w = stress_workload();
-        let recs = stress_records(&w);
+        let recs = workload_records(&w);
         let names: Vec<&str> = recs.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["dcache_ent", "session_tbl"]);
     }
@@ -82,7 +83,7 @@ mod tests {
         let sdet = quick_sdet();
         let analysis = analyze(&w, &sdet, &Default::default());
         let tool = ToolParams::default();
-        for (name, rec) in stress_records(&w) {
+        for (name, rec) in workload_records(&w) {
             let affinity = affinity_for(&w, &analysis, rec);
             let loss = loss_for(&w, &analysis, rec);
             let flg = Flg::build(
