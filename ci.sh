@@ -147,7 +147,19 @@ FIGURES_TMP="$(mktemp /tmp/slopt_figures.XXXXXX.txt)"
 ./target/release/slopt-tool figures --jobs 2 > "$FIGURES_TMP" 2> /dev/null
 cmp tests/data/figures_jobs2.golden.txt "$FIGURES_TMP" \
     || { echo "slopt-tool figures drifted from its golden"; exit 1; }
-rm -f "$FIGURES_TMP"
+# The serial run must print the same bytes: the run memo (each distinct
+# simulation runs once per process) may not depend on --jobs. Its
+# counters pin the grid: 238 items, 175 distinct runs, 63 reused.
+FIGURES_STATS_TMP="$(mktemp /tmp/slopt_figures_stats.XXXXXX.txt)"
+./target/release/slopt-tool figures --jobs 1 --stats > "$FIGURES_STATS_TMP" 2> /dev/null
+sed '/^=== run stats ===$/,$d' "$FIGURES_STATS_TMP" > "$FIGURES_TMP"
+cmp tests/data/figures_jobs2.golden.txt "$FIGURES_TMP" \
+    || { echo "slopt-tool figures --jobs 1 differs from the --jobs 2 golden"; exit 1; }
+grep -Eq '^ *sim\.memo_runs +175$' "$FIGURES_STATS_TMP" \
+    || { echo "slopt-tool figures: expected 175 simulated runs"; exit 1; }
+grep -Eq '^ *sim\.memo_hits +63$' "$FIGURES_STATS_TMP" \
+    || { echo "slopt-tool figures: expected 63 memo hits"; exit 1; }
+rm -f "$FIGURES_TMP" "$FIGURES_STATS_TMP"
 
 echo "== perf_report --quick --jobs 4 (refresh BENCH_sim.json) + perf_guard =="
 BASELINE_TMP="$(mktemp /tmp/slopt_bench_baseline.XXXXXX.json)"

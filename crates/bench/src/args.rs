@@ -308,9 +308,9 @@ impl CommonArgs {
             obs,
             checkpoint: self.checkpoint_spec(),
             fault: self.fault.clone(),
-            jobs: self.jobs,
             stats: self.stats,
             trace_out: self.trace_out.clone(),
+            ..ExecCtx::bare(self.jobs)
         })
     }
 

@@ -26,6 +26,7 @@
 pub mod args;
 pub mod checkpoint;
 pub mod harness;
+mod memo;
 pub mod runner;
 
 pub use args::{
@@ -36,6 +37,7 @@ pub use harness::{
     derive_paper_layouts, figure_main, figure_setup, kernel_records, measure_paper_figure,
     paper_figures, search_row, select_records, FigureSetup, PaperFigure, SearchRow, SearchRowCfg,
 };
+pub use memo::RunMemo;
 pub use runner::{
     figure, measure_cells, measure_complete, resolve, Cell, ExecCtx, FaultConfig, FigureOutcome,
     GridError, GridOutcome, SITE_CKPT, SITE_WORKER,

@@ -6,8 +6,8 @@
 //! table. This module owns that shape once:
 //!
 //! * [`ExecCtx`] — the execution context: observability, checkpointing,
-//!   fault supervision and the thread count, composed as *data* rather
-//!   than as a combinatorial family of function variants;
+//!   fault supervision, the thread count and the run memo, composed as
+//!   *data* rather than as a combinatorial family of function variants;
 //! * [`Cell`] — one grid cell (label + layout table + config + machine);
 //! * [`measure_cells`] — measures the whole grid under an [`ExecCtx`],
 //!   fanned out over host threads at `(cell, run-seed)` granularity;
@@ -34,6 +34,8 @@ use slopt_workload::{
 };
 
 use crate::checkpoint::{fingerprint, guard_cc_snapshot, Checkpoint, CheckpointSpec};
+use crate::memo::{RunMemo, RunSummary};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Fault-decision site for worker execution (`--fault-plan` panics,
@@ -112,6 +114,10 @@ pub struct ExecCtx {
     /// Where the trace sink writes, if anywhere (`--trace-out`) — kept so
     /// [`ExecCtx::finish`] can tell the user where the trace went.
     pub trace_out: Option<String>,
+    /// The runs already simulated under this context (and its clones):
+    /// [`measure_cells`] simulates each distinct run once and reuses it.
+    /// Not a flag — every context starts with an empty memo.
+    pub memo: RunMemo,
 }
 
 impl std::fmt::Debug for ExecCtx {
@@ -139,6 +145,7 @@ impl ExecCtx {
             jobs,
             stats: false,
             trace_out: None,
+            memo: RunMemo::default(),
         }
     }
 
@@ -225,6 +232,14 @@ pub struct GridOutcome {
 ///
 /// Capabilities, per the context:
 ///
+/// * **Run memo** (`ctx.memo`): each grid item's run is keyed on the
+///   program, the cell's canonical layout table, machine and workload
+///   config, and the seed. A run the context already simulated — in this
+///   grid or an earlier one — is reused, and a duplicate in flight waits
+///   for the first. Every item still gets its `measure_cell` span, its
+///   `figure.cell_makespan` sample and its fault decision, so traces,
+///   chaos and checkpoints do not see the memo; `sim.memo_runs` and
+///   `sim.memo_hits` count the simulated and reused items.
 /// * **Observability** (`ctx.obs`): the whole grid runs under a
 ///   `measure_grid` span, every `(cell, seed)` simulation under its own
 ///   `measure_cell` span (workers get distinct trace thread ids), and
@@ -317,24 +332,41 @@ pub fn measure_cells(
         ctx.jobs.max(1).min(pending.len().max(1))
     );
     let t0 = std::time::Instant::now();
+    let program = ctx.memo.program_id(kernel);
+    let inputs: Vec<_> = cells
+        .iter()
+        .map(|cell| {
+            ctx.memo
+                .inputs_id(program, &cell.table, &cell.machine, &cell.sdet)
+        })
+        .collect();
+    let (memo_hits, memo_runs) = (AtomicU64::new(0), AtomicU64::new(0));
     // One grid item's simulation, shared by both schedulers.
     let simulate = |c: usize, seed: u64| -> f64 {
         let _cell = obs.span("measure_cell");
         let cell = &cells[c];
-        let out = run_once(
-            kernel,
-            &cell.table,
-            &cell.machine,
-            &cell.sdet,
-            seed,
-            &mut slopt_sim::NullObserver,
-        );
+        let (run, hit) = ctx.memo.run(inputs[c], seed, || {
+            let out = run_once(
+                kernel,
+                &cell.table,
+                &cell.machine,
+                &cell.sdet,
+                seed,
+                &mut slopt_sim::NullObserver,
+            );
+            RunSummary {
+                makespan: out.result.makespan,
+                throughput: out.result.throughput(),
+            }
+        });
+        let tally = if hit { &memo_hits } else { &memo_runs };
+        tally.fetch_add(1, Ordering::Relaxed);
         // Per-cell simulated makespan distribution. Simulated cycles are
         // a pure function of (cell, seed), so unlike the wall-clock span
         // histograms this one is bit-identical at any --jobs value and
         // trace_diff compares it structurally.
-        obs.histogram("figure.cell_makespan", out.result.makespan);
-        out.result.throughput()
+        obs.histogram("figure.cell_makespan", run.makespan);
+        run.throughput
     };
     // Committing an *accepted* grid item to the checkpoint. This is the
     // run's only durable side effect, so it sits behind the supervised
@@ -412,6 +444,8 @@ pub fn measure_cells(
     if obs.enabled() {
         obs.counter("runner.cells", cells.len() as u64);
         obs.counter("runner.runs_per_cell", seeds.len() as u64);
+        obs.counter("sim.memo_runs", memo_runs.into_inner());
+        obs.counter("sim.memo_hits", memo_hits.into_inner());
         let wall_ns = t0.elapsed().as_nanos() as u64;
         if wall_ns > 0 {
             let summary = obs.summary();
@@ -637,8 +671,9 @@ pub fn measure_complete(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slopt_ir::{FieldIdx, StructLayout};
     use slopt_sim::CacheConfig;
-    use slopt_workload::{baseline_layouts, build_kernel, measure};
+    use slopt_workload::{baseline_layouts, build_kernel, layouts_with, measure};
 
     fn small_cfg() -> SdetConfig {
         SdetConfig {
@@ -928,5 +963,117 @@ mod tests {
             .collect();
         let vals = resolve("t", labelled, &clean.report).expect("complete grid");
         assert_eq!(vals.len(), 2);
+    }
+
+    /// Every measured run of `cell`, simulated directly (no memo).
+    fn direct_runs(kernel: &Kernel, cell: &Cell, runs: usize) -> Vec<u64> {
+        measurement_seeds(runs)[1..]
+            .iter()
+            .map(|&seed| {
+                let out = run_once(
+                    kernel,
+                    &cell.table,
+                    &cell.machine,
+                    &cell.sdet,
+                    seed,
+                    &mut slopt_sim::NullObserver,
+                );
+                out.result.throughput().to_bits()
+            })
+            .collect()
+    }
+
+    fn run_bits(t: &Throughput) -> Vec<u64> {
+        t.runs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Struct A's fields in declaration order, once on shared lines and
+    /// once one field per line: the same field order, different layouts.
+    fn same_order_two_groupings(kernel: &Kernel, line: u64) -> [LayoutTable; 2] {
+        let rec = kernel.records.a;
+        let ty = kernel.record_type(rec);
+        let order: Vec<FieldIdx> = ty.field_indices().collect();
+        let packed = StructLayout::from_order(ty, &order, line).expect("valid order");
+        let groups: Vec<Vec<FieldIdx>> = order.iter().map(|&f| vec![f]).collect();
+        let spread = StructLayout::from_groups(ty, &groups, line).expect("valid groups");
+        assert_eq!(packed.order(), spread.order());
+        [packed, spread].map(|l| layouts_with(kernel, line, rec, l))
+    }
+
+    /// `n` small cells alternating the baseline table and the spread
+    /// grouping of struct A. Every table is built on its own, as grids
+    /// build them, so duplicates are equal in content but not clones.
+    fn alternating_cells(n: usize) -> (Kernel, Vec<Cell>) {
+        let (kernel, mut cells) = small_cells(n);
+        let line = small_cfg().line_size;
+        for (i, cell) in cells.iter_mut().enumerate() {
+            cell.table = if i % 2 == 0 {
+                baseline_layouts(&kernel, line)
+            } else {
+                let [_, spread] = same_order_two_groupings(&kernel, line);
+                spread
+            };
+        }
+        (kernel, cells)
+    }
+
+    fn memo_counts(obs: &slopt_obs::Obs) -> (u64, u64) {
+        let s = obs.summary();
+        (
+            s.metrics.counter("sim.memo_runs"),
+            s.metrics.counter("sim.memo_hits"),
+        )
+    }
+
+    #[test]
+    fn duplicate_cells_match_direct_runs_and_simulate_once() {
+        let (kernel, cells) = alternating_cells(4);
+        let obs = slopt_obs::Obs::aggregating();
+        let ctx = ExecCtx::bare(2).with_obs(obs.clone());
+        let out = complete(measure_cells(&ctx, "dup", &kernel, &cells, 3).expect("no I/O"));
+        for (t, cell) in out.iter().zip(&cells) {
+            assert_eq!(run_bits(t), direct_runs(&kernel, cell, 3));
+        }
+        // Two distinct tables x (warm-up + 3 runs) simulate; the rest hit.
+        assert_eq!(memo_counts(&obs), (8, 8));
+        // A second grid under the same context reuses every run.
+        let again = complete(measure_cells(&ctx, "dup", &kernel, &cells, 3).expect("no I/O"));
+        assert_eq!(
+            out.iter().map(run_bits).collect::<Vec<_>>(),
+            again.iter().map(run_bits).collect::<Vec<_>>()
+        );
+        assert_eq!(memo_counts(&obs), (8, 24));
+    }
+
+    #[test]
+    fn one_field_order_in_two_line_groupings_does_not_share_runs() {
+        let (kernel, mut cells) = small_cells(2);
+        let tables = same_order_two_groupings(&kernel, small_cfg().line_size);
+        for (cell, table) in cells.iter_mut().zip(tables) {
+            cell.table = table;
+        }
+        let direct: Vec<_> = cells.iter().map(|c| direct_runs(&kernel, c, 2)).collect();
+        assert_ne!(
+            direct[0], direct[1],
+            "the groupings must simulate differently"
+        );
+        let obs = slopt_obs::Obs::aggregating();
+        let ctx = ExecCtx::bare(1).with_obs(obs.clone());
+        let out = complete(measure_cells(&ctx, "groups", &kernel, &cells, 2).expect("no I/O"));
+        assert_eq!(out.iter().map(run_bits).collect::<Vec<_>>(), direct);
+        assert_eq!(memo_counts(&obs), (6, 0));
+    }
+
+    #[test]
+    fn memo_counters_are_jobs_invariant() {
+        let (kernel, cells) = alternating_cells(3);
+        let counts = [1, 4].map(|jobs| {
+            let obs = slopt_obs::Obs::aggregating();
+            let ctx = ExecCtx::bare(jobs).with_obs(obs.clone());
+            measure_cells(&ctx, "jobs", &kernel, &cells, 2).expect("no I/O");
+            memo_counts(&obs)
+        });
+        assert_eq!(counts[0], (6, 3));
+        assert_eq!(counts[0], counts[1]);
     }
 }

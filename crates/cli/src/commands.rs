@@ -6,9 +6,9 @@
 //! (partial-result) figures run exits 4, everything else exits 1.
 
 use slopt_bench::{
-    derive_paper_layouts, extra_flag, figure_setup, kernel_records, measure_paper_figure,
-    paper_figures, search_row, select_records, ArgError, CommonArgs, ExecCtx, SearchRowCfg,
-    EXIT_CODE_TABLE,
+    derive_paper_layouts, extra_flag, figure_setup, kernel_records, measure_complete,
+    measure_paper_figure, paper_figures, search_row, select_records, ArgError, Cell, CommonArgs,
+    ExecCtx, GridError, SearchRowCfg, EXIT_CODE_TABLE,
 };
 use slopt_core::{to_dot, DotOptions, ToolParams};
 use slopt_fault::exit;
@@ -16,7 +16,7 @@ use slopt_ir::types::RecordId;
 use slopt_search::{Portfolio, SearchParams};
 use slopt_sim::AccessClass;
 use slopt_workload::{
-    analyze_obs, baseline_layouts, build_kernel, measure, parse_workload_file, run_once_obs,
+    analyze_obs, baseline_layouts, build_kernel, parse_workload_file, run_once_obs,
     stress_workload, suggest_for_obs, workload_records, AnalysisConfig, CustomWorkload, Machine,
     SdetConfig, WorkloadSpec,
 };
@@ -354,27 +354,30 @@ pub fn figures(args: &[String]) -> Result<(), CliError> {
     let (common, ctx) = exec_ctx(args, &[])?;
     let setup = figure_setup(&common);
     let layouts = derive_paper_layouts(&ctx, &setup, "figures");
+    let failed = |what: &str, e: GridError| {
+        ctx.finish();
+        CliError {
+            message: format!("{what}: {e}"),
+            code: e.exit_code(),
+        }
+    };
     for spec in paper_figures() {
-        let fig = measure_paper_figure(&ctx, &setup, &layouts, &spec).map_err(|e| {
-            ctx.finish();
-            CliError {
-                message: format!("{}: {e}", spec.title),
-                code: e.exit_code(),
-            }
-        })?;
+        let fig = measure_paper_figure(&ctx, &setup, &layouts, &spec)
+            .map_err(|e| failed(spec.title, e))?;
         println!("{fig}");
     }
-    // A tiny shared-measure sanity line so users see the baseline too.
+    // A sanity line so users see the baseline too. It is Figure 8's
+    // baseline cell again, so the run memo answers it without simulating.
     let (kernel, sdet) = (&setup.kernel, &setup.sdet);
-    let base = measure(
-        kernel,
-        &baseline_layouts(kernel, sdet.line_size),
-        &Machine::superdome(128),
-        sdet,
-        setup.runs,
-        setup.jobs,
-    );
-    println!("(baseline sanity: {:.1} scripts/Mcycle)", base.mean);
+    let cell = Cell {
+        label: "baseline".to_string(),
+        table: baseline_layouts(kernel, sdet.line_size),
+        sdet: sdet.clone(),
+        machine: Machine::superdome(128),
+    };
+    let base = measure_complete(&ctx, "sanity", kernel, &[cell], setup.runs)
+        .map_err(|e| failed("baseline sanity", e))?;
+    println!("(baseline sanity: {:.1} scripts/Mcycle)", base[0].mean);
     ctx.finish();
     Ok(())
 }

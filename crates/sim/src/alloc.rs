@@ -8,7 +8,6 @@
 
 use slopt_ir::layout::StructLayout;
 use slopt_ir::types::{FieldIdx, RecordId};
-use std::collections::HashMap;
 
 /// A bump allocator that aligns every allocation to a cache line.
 #[derive(Clone, Debug)]
@@ -61,9 +60,13 @@ impl Arena {
 }
 
 /// Record type → concrete layout for the current experiment.
+///
+/// The engine looks a layout up on every simulated access, so the table
+/// is a vector indexed by `RecordId` (record ids are dense registry
+/// indices), not a hash map.
 #[derive(Clone, Debug, Default)]
 pub struct LayoutTable {
-    layouts: HashMap<RecordId, StructLayout>,
+    layouts: Vec<Option<StructLayout>>,
 }
 
 impl LayoutTable {
@@ -74,7 +77,11 @@ impl LayoutTable {
 
     /// Sets (or replaces) the layout used for `record`.
     pub fn set(&mut self, record: RecordId, layout: StructLayout) {
-        self.layouts.insert(record, layout);
+        let i = record.0 as usize;
+        if i >= self.layouts.len() {
+            self.layouts.resize(i + 1, None);
+        }
+        self.layouts[i] = Some(layout);
     }
 
     /// The layout for `record`.
@@ -84,14 +91,13 @@ impl LayoutTable {
     /// Panics if no layout was registered — running an experiment without
     /// choosing a layout for an accessed record is a setup bug.
     pub fn layout(&self, record: RecordId) -> &StructLayout {
-        self.layouts
-            .get(&record)
+        self.get(record)
             .unwrap_or_else(|| panic!("no layout registered for {record}"))
     }
 
     /// The layout for `record`, if registered.
     pub fn get(&self, record: RecordId) -> Option<&StructLayout> {
-        self.layouts.get(&record)
+        self.layouts.get(record.0 as usize)?.as_ref()
     }
 
     /// Byte address of `field` in the instance of `record` based at `base`.
@@ -103,14 +109,22 @@ impl LayoutTable {
         base + self.layout(record).offset(field)
     }
 
+    /// Every registered `(record, layout)` pair, in record-id order.
+    pub fn iter(&self) -> impl Iterator<Item = (RecordId, &StructLayout)> {
+        self.layouts
+            .iter()
+            .enumerate()
+            .filter_map(|(i, l)| Some((RecordId(i as u32), l.as_ref()?)))
+    }
+
     /// Number of registered layouts.
     pub fn len(&self) -> usize {
-        self.layouts.len()
+        self.iter().count()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.layouts.is_empty()
+        self.len() == 0
     }
 }
 

@@ -70,6 +70,7 @@ fn ctx_for(jobs: usize, spec: Option<&CheckpointSpec>, fault: Option<&FaultConfi
         jobs,
         stats: false,
         trace_out: None,
+        ..ExecCtx::bare(jobs)
     }
 }
 

@@ -58,6 +58,7 @@ fn run_figure(
         jobs,
         stats: false,
         trace_out: None,
+        ..ExecCtx::bare(jobs)
     };
     let outcome = figure(
         &ctx,
