@@ -57,9 +57,9 @@ echo "$SMOKE_DIFF" | grep -q "result: 0 structural delta(s), 0 timing breach(es)
 rm -rf "$SMOKE_CKPT_J4" "$SMOKE_CKPT_J1" "$SMOKE_TRACE_J4" "$SMOKE_TRACE_J1"
 
 echo "== help-surface conformance (every bin, one flag reference) =="
-cargo test --offline -q -p slopt-bench --test help_matrix --test args_prop
+cargo test --offline -q -p slopt-bench --test help_matrix --test args_prop --test ablate_cli
 
-echo "== degraded-run contract (fig9 under a permanent fault plan exits 4) =="
+echo "== degraded-run contract (fig9 and the ablate rows under a permanent fault plan exit 4) =="
 set +e
 cargo run --release --offline -p slopt-bench --bin fig9 -- --jobs 4 \
     --fault-plan seed=3,permanent=1 > /dev/null 2>&1
@@ -69,6 +69,18 @@ if [ "$code" -ne 4 ]; then
     echo "fig9 with permanent faults: expected exit 4 (degraded), got $code"
     exit 1
 fi
+# These three rows measured outside the grid before they became ablate
+# rows, so a fault plan never reached them.
+for row in floor inline sweep_remote_latency; do
+    set +e
+    ./target/release/ablate "$row" --jobs 2 --fault-plan seed=3,permanent=1 > /dev/null 2>&1
+    code=$?
+    set -e
+    if [ "$code" -ne 4 ]; then
+        echo "ablate $row with permanent faults: expected exit 4 (degraded), got $code"
+        exit 1
+    fi
+done
 set +e
 cargo run --release --offline -p slopt-bench --bin fig9 -- \
     --fault-plan bogus=1 > /dev/null 2>&1
@@ -160,6 +172,24 @@ grep -Eq '^ *sim\.memo_runs +175$' "$FIGURES_STATS_TMP" \
 grep -Eq '^ *sim\.memo_hits +63$' "$FIGURES_STATS_TMP" \
     || { echo "slopt-tool figures: expected 63 memo hits"; exit 1; }
 rm -f "$FIGURES_TMP" "$FIGURES_STATS_TMP"
+
+echo "== ablate golden (every ablation row, --jobs 2 and --jobs 1, byte for byte) =="
+ABLATE_TMP="$(mktemp /tmp/slopt_ablate.XXXXXX.txt)"
+./target/release/ablate --jobs 2 > "$ABLATE_TMP" 2> /dev/null
+cmp tests/data/ablate_jobs2.golden.txt "$ABLATE_TMP" \
+    || { echo "ablate drifted from its golden"; exit 1; }
+# The rows share one run memo; its counters, like the tables, may not
+# depend on --jobs: 371 grid items, 189 distinct runs, 182 reused.
+ABLATE_STATS_TMP="$(mktemp /tmp/slopt_ablate_stats.XXXXXX.txt)"
+./target/release/ablate --jobs 1 --stats > "$ABLATE_STATS_TMP" 2> /dev/null
+sed '/^=== run stats ===$/,$d' "$ABLATE_STATS_TMP" > "$ABLATE_TMP"
+cmp tests/data/ablate_jobs2.golden.txt "$ABLATE_TMP" \
+    || { echo "ablate --jobs 1 differs from the --jobs 2 golden"; exit 1; }
+grep -Eq '^ *sim\.memo_runs +189$' "$ABLATE_STATS_TMP" \
+    || { echo "ablate: expected 189 simulated runs"; exit 1; }
+grep -Eq '^ *sim\.memo_hits +182$' "$ABLATE_STATS_TMP" \
+    || { echo "ablate: expected 182 memo hits"; exit 1; }
+rm -f "$ABLATE_TMP" "$ABLATE_STATS_TMP"
 
 echo "== perf_report --quick --jobs 4 (refresh BENCH_sim.json) + perf_guard =="
 BASELINE_TMP="$(mktemp /tmp/slopt_bench_baseline.XXXXXX.json)"

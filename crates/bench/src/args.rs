@@ -113,7 +113,7 @@ fn value_at<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> Resu
 /// Reports a usage error the way every experiment binary does — the
 /// positional message plus a `--help` pointer on stderr — and exits
 /// [`exit::USAGE`].
-pub fn usage_exit(bin: &str, e: &ArgError) -> ! {
+pub fn usage_exit(bin: &str, e: &dyn std::fmt::Display) -> ! {
     eprintln!("{bin}: {e}");
     eprintln!("try `{bin} --help`");
     std::process::exit(i32::from(exit::USAGE));
@@ -176,7 +176,18 @@ impl CommonArgs {
     /// binary can parse them from the raw argv itself; every other
     /// dash-prefixed token is still a usage error.
     pub fn parse_with(args: &[String], extras: &[(&str, bool)]) -> Result<CommonArgs, ArgError> {
+        CommonArgs::parse_positional(args, extras).map(|(parsed, _)| parsed)
+    }
+
+    /// [`CommonArgs::parse_with`], also returning the bare tokens in
+    /// order: the caller's positional values (`ablate k2 sampling`).
+    /// Flag values are never among them.
+    pub fn parse_positional(
+        args: &[String],
+        extras: &[(&str, bool)],
+    ) -> Result<(CommonArgs, Vec<String>), ArgError> {
         let mut out = CommonArgs::default();
+        let mut positional = Vec::new();
         let mut fault_plan: Option<FaultPlan> = None;
         let mut max_retries: Option<u32> = None;
         let mut deadline: Option<Duration> = None;
@@ -241,9 +252,11 @@ impl CommonArgs {
                             pos: i + 1,
                             msg: format!("unknown flag `{flag}` (see --help)"),
                         });
+                    } else {
+                        // A bare non-dash token is a positional value for
+                        // the caller (e.g. `slopt-tool stats <trace>`).
+                        positional.push(flag.to_string());
                     }
-                    // A bare non-dash token is a positional value for
-                    // the caller (e.g. `slopt-tool stats <trace>`).
                 }
             }
             i += 1;
@@ -259,7 +272,7 @@ impl CommonArgs {
                 policy,
             });
         }
-        Ok(out)
+        Ok((out, positional))
     }
 
     /// Parses `std::env::args()`, handling `--help` (print and exit 0)
@@ -267,20 +280,21 @@ impl CommonArgs {
     /// prologue of an experiment binary. `bin` and `about` head the help
     /// text; `extra` documents any binary-specific flags (empty for
     /// most) and `extras` registers them as `(name, takes_value)` pairs
-    /// so strict parsing doesn't reject them as typos.
+    /// so strict parsing doesn't reject them as typos. Returns the flags
+    /// and the positional tokens ([`CommonArgs::parse_positional`]).
     pub fn from_env_or_exit(
         bin: &str,
         about: &str,
         extra: &str,
         extras: &[(&str, bool)],
-    ) -> CommonArgs {
+    ) -> (CommonArgs, Vec<String>) {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        match CommonArgs::parse_with(&argv, extras) {
-            Ok(args) if args.help => {
+        match CommonArgs::parse_positional(&argv, extras) {
+            Ok((args, _)) if args.help => {
                 println!("{}", help_text(bin, about, extra));
                 std::process::exit(0);
             }
-            Ok(args) => args,
+            Ok(parsed) => parsed,
             Err(e) => usage_exit(bin, &e),
         }
     }
@@ -440,6 +454,18 @@ mod tests {
                 .unwrap()
                 .stats
         );
+    }
+
+    #[test]
+    fn positional_tokens_exclude_flag_values() {
+        let (args, names) = CommonArgs::parse_positional(
+            &strs(&["k2", "--jobs", "2", "floor", "--trace-out", "t", "--stats"]),
+            &[],
+        )
+        .unwrap();
+        assert_eq!(names, ["k2", "floor"]);
+        assert_eq!(args.jobs, 2);
+        assert!(args.stats);
     }
 
     #[test]

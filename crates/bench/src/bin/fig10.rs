@@ -16,7 +16,7 @@ use slopt_bench::{figure_main, CommonArgs};
 use slopt_workload::best_rows;
 
 fn main() {
-    let args = CommonArgs::from_env_or_exit(
+    let (args, _) = CommonArgs::from_env_or_exit(
         "fig10",
         "best layout per struct (automatic vs constrained) on the 128-way Superdome",
         "",

@@ -15,7 +15,7 @@
 use slopt_bench::{figure_main, CommonArgs};
 
 fn main() {
-    let args = CommonArgs::from_env_or_exit(
+    let (args, _) = CommonArgs::from_env_or_exit(
         "fig8",
         "automatic layout vs sort-by-hotness on the 128-way Superdome",
         "",

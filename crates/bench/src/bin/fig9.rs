@@ -13,7 +13,7 @@
 use slopt_bench::{figure_main, CommonArgs};
 
 fn main() {
-    let args = CommonArgs::from_env_or_exit(
+    let (args, _) = CommonArgs::from_env_or_exit(
         "fig9",
         "the Figure-8 layouts measured on a 4-way bus machine",
         "",

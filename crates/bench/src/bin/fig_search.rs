@@ -108,7 +108,7 @@ fn flag<T: std::str::FromStr>(argv: &[String], name: &str, default: T) -> T {
 }
 
 fn main() {
-    let args = CommonArgs::from_env_or_exit(
+    let (args, _) = CommonArgs::from_env_or_exit(
         "fig_search",
         "greedy clustering vs the stochastic layout search",
         EXTRA_FLAGS,
@@ -142,14 +142,14 @@ fn main() {
         },
         machine: &Machine::superdome(16),
         runs: setup.runs,
-        jobs: setup.jobs,
+        jobs: ctx.jobs,
         top,
     };
 
     eprintln!(
         "[fig_search] seed {seed}, {chains} chains x {steps} steps, \
          validating top {top} in simulated cycles ({} runs, {} jobs)...",
-        setup.runs, setup.jobs
+        setup.runs, ctx.jobs
     );
     let kernel_records = kernel_records(&setup.kernel);
     let kernel_analysis = analyze_obs(&setup.kernel, &setup.sdet, &setup.analysis, obs);

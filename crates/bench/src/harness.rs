@@ -33,9 +33,6 @@ pub struct FigureSetup {
     /// to keep the full figure under a couple of minutes — pass a scale
     /// argument to change it).
     pub runs: usize,
-    /// Host threads to fan the measurement grid across (`--jobs N`;
-    /// defaults to the host's available parallelism).
-    pub jobs: usize,
 }
 
 /// The setup for a parsed command line, shared by every experiment
@@ -43,8 +40,8 @@ pub struct FigureSetup {
 ///
 /// `args.scale` stretches the workload (scripts per CPU) and the number
 /// of measured runs: `1` is the fast default; `2`+ approaches the paper's
-/// 10-run methodology at proportionally longer wall time. The
-/// measurement grid fans across `args.jobs` threads.
+/// 10-run methodology at proportionally longer wall time. The thread
+/// count is not part of the setup: it is [`ExecCtx::jobs`].
 pub fn figure_setup(args: &CommonArgs) -> FigureSetup {
     let scale = args.scale.max(1);
     let kernel = slopt_workload::build_kernel();
@@ -59,7 +56,6 @@ pub fn figure_setup(args: &CommonArgs) -> FigureSetup {
         analysis,
         tool: ToolParams::default(),
         runs: (5 + scale).min(10),
-        jobs: args.jobs,
     }
 }
 
@@ -108,14 +104,14 @@ pub fn paper_figures() -> [PaperFigure; 3] {
 pub fn derive_paper_layouts(ctx: &ExecCtx, setup: &FigureSetup, tag: &str) -> PaperLayouts {
     eprintln!(
         "[{tag}] measurement run (16-way) + layout derivation ({} jobs)...",
-        setup.jobs
+        ctx.jobs
     );
     compute_paper_layouts_jobs_obs(
         &setup.kernel,
         &setup.sdet,
         &setup.analysis,
         setup.tool,
-        setup.jobs,
+        ctx.jobs,
         &ctx.obs,
     )
 }
@@ -134,7 +130,7 @@ pub fn measure_paper_figure(
         fig.name,
         fig.machine.topo.name(),
         setup.runs,
-        setup.jobs
+        ctx.jobs
     );
     let FigureOutcome {
         figure,
@@ -307,9 +303,10 @@ mod tests {
     }
 
     #[test]
-    fn setup_takes_the_job_count_from_the_command_line() {
+    fn setup_takes_the_job_count_from_the_command_line() -> Result<(), String> {
         let args = CommonArgs::parse(&["--jobs".to_string(), "3".to_string()]).expect("valid");
-        assert_eq!(figure_setup(&args).jobs, 3);
+        assert_eq!(args.try_ctx()?.jobs, 3);
+        Ok(())
     }
 
     #[test]

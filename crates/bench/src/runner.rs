@@ -1,9 +1,9 @@
 //! The shared parallel experiment runner.
 //!
-//! Every figure/ablation binary is, at heart, the same program: build a
-//! grid of *measurement cells* — each a layout table measured under some
-//! workload/machine configuration — measure all of them, and print a
-//! table. This module owns that shape once:
+//! Every figure and every `ablate` row is, at heart, the same program:
+//! build a grid of *measurement cells* — each a layout table measured
+//! under some workload/machine configuration — measure all of them, and
+//! print a table. This module owns that shape once:
 //!
 //! * [`ExecCtx`] — the execution context: observability, checkpointing,
 //!   fault supervision, the thread count and the run memo, composed as
@@ -195,8 +195,8 @@ impl ExecCtx {
 /// One measurement cell of an experiment grid.
 ///
 /// A cell owns its whole configuration so grids may vary anything between
-/// cells — layouts (the figures), block size (`ablation_blocksize`),
-/// protocol (`ablation_protocol`), machine — while staying independent
+/// cells — layouts (the figures), block size (`ablate blocksize`),
+/// protocol (`ablate protocol`), machine — while staying independent
 /// work items.
 #[derive(Clone, Debug)]
 pub struct Cell {

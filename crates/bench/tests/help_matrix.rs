@@ -20,29 +20,7 @@ const BINS: &[(&str, &str)] = &[
     ("fig9", env!("CARGO_BIN_EXE_fig9")),
     ("fig10", env!("CARGO_BIN_EXE_fig10")),
     ("fig_search", env!("CARGO_BIN_EXE_fig_search")),
-    ("ablation_k2", env!("CARGO_BIN_EXE_ablation_k2")),
-    (
-        "ablation_blocksize",
-        env!("CARGO_BIN_EXE_ablation_blocksize"),
-    ),
-    (
-        "ablation_min_heuristic",
-        env!("CARGO_BIN_EXE_ablation_min_heuristic"),
-    ),
-    ("ablation_protocol", env!("CARGO_BIN_EXE_ablation_protocol")),
-    ("ablation_refine", env!("CARGO_BIN_EXE_ablation_refine")),
-    ("ablation_sampling", env!("CARGO_BIN_EXE_ablation_sampling")),
-    ("ablation_inline", env!("CARGO_BIN_EXE_ablation_inline")),
-    ("ablation_floor", env!("CARGO_BIN_EXE_ablation_floor")),
-    ("cc_validation", env!("CARGO_BIN_EXE_cc_validation")),
-    (
-        "sweep_remote_latency",
-        env!("CARGO_BIN_EXE_sweep_remote_latency"),
-    ),
-    (
-        "validate_cycleloss",
-        env!("CARGO_BIN_EXE_validate_cycleloss"),
-    ),
+    ("ablate", env!("CARGO_BIN_EXE_ablate")),
 ];
 
 fn run(bin: &str, args: &[&str]) -> Output {
@@ -100,7 +78,7 @@ fn extra_flags_extend_rather_than_replace_the_surface() {
 
 /// Malformed values for every shared flag exit 2 (usage error) with a
 /// positional `arg N:` message naming the offending value — in every
-/// binary shape (a figure bin and an ablation bin).
+/// binary shape (a figure bin and an ablation row).
 #[test]
 fn malformed_values_exit_2_with_positional_messages() {
     let cases: &[(&[&str], &str)] = &[
@@ -113,12 +91,12 @@ fn malformed_values_exit_2_with_positional_messages() {
         (&["--trace-out"], "--trace-out"),
         (&["--stats", "--jobs", "x"], "x"),
     ];
-    for &(name, path) in &[
-        ("fig9", env!("CARGO_BIN_EXE_fig9")),
-        ("ablation_k2", env!("CARGO_BIN_EXE_ablation_k2")),
+    for &(name, path, row) in &[
+        ("fig9", env!("CARGO_BIN_EXE_fig9"), &[][..]),
+        ("ablate k2", env!("CARGO_BIN_EXE_ablate"), &["k2"][..]),
     ] {
         for (args, needle) in cases {
-            let out = run(path, args);
+            let out = run(path, &[row, args].concat());
             assert_eq!(
                 out.status.code(),
                 Some(2),
@@ -136,6 +114,32 @@ fn malformed_values_exit_2_with_positional_messages() {
             );
         }
     }
+}
+
+/// `ablate` lists every row in its help, and an unknown row name exits 2
+/// naming the known rows.
+#[test]
+fn ablate_lists_its_rows_and_rejects_unknown_ones() {
+    let path = env!("CARGO_BIN_EXE_ablate");
+    let help = String::from_utf8(run(path, &["--help"]).stdout).expect("utf-8 help");
+    for row in slopt_bench::ablations() {
+        assert!(
+            help.contains(row.name) && help.contains(row.about),
+            "ablate --help must list `{}`; got:\n{help}",
+            row.name
+        );
+    }
+    let out = run(path, &["k2", "nosuch", "--jobs", "1"]);
+    assert_eq!(out.status.code(), Some(2), "ablate nosuch must exit 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("nosuch") && err.contains("known: cc_validation, k2, min_heuristic"),
+        "stderr must name the unknown row and the known ones; got: {err}"
+    );
+    assert!(
+        err.contains("--help"),
+        "stderr must point at --help; got: {err}"
+    );
 }
 
 /// Every bin in `src/bin/` except the two perf tools (which have their

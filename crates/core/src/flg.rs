@@ -25,7 +25,7 @@ use std::collections::HashMap;
 /// concurrency by roughly `block length ÷ sampling period`, while each
 /// realized false-sharing event costs several times more than a saved
 /// miss gains. The default `k2 = 10` balances the two at the workspace's
-/// default sampling parameters; `ablation_k2` sweeps it.
+/// default sampling parameters; `ablate k2` sweeps it.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct FlgParams {
     /// Multiplier on CycleGain (spatial locality).

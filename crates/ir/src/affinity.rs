@@ -31,7 +31,7 @@ pub enum AffinityMode {
     Minimum,
     /// The CGO'06 (Hundt et al.) heuristic: every pair in a group gets the
     /// group's execution frequency, regardless of per-field counts. Kept
-    /// for the `ablation_min_heuristic` comparison.
+    /// for the `ablate min_heuristic` comparison.
     GroupFrequency,
 }
 

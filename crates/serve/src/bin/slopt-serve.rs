@@ -78,7 +78,7 @@ fn flag<T: std::str::FromStr>(argv: &[String], name: &str) -> Option<T> {
 }
 
 fn main() {
-    let args = CommonArgs::from_env_or_exit("slopt-serve", ABOUT, EXTRA_HELP, EXTRAS);
+    let (args, _) = CommonArgs::from_env_or_exit("slopt-serve", ABOUT, EXTRA_HELP, EXTRAS);
     let argv: Vec<String> = std::env::args().skip(1).collect();
 
     let serve = ServeConfig {

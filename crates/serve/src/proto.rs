@@ -118,7 +118,10 @@ pub fn write_frame(w: &mut impl Write, op: u8, payload: &[u8]) -> io::Result<()>
 
 /// Reads one frame. `Ok(None)` is a clean end-of-stream (the peer
 /// closed between frames); dying *inside* a frame is `ProtoError::Io`.
-/// The opcode is validated here so garbage never reaches a handler.
+/// The opcode is validated here so garbage never reaches a handler, but
+/// only once the whole frame is consumed, so a bad opcode leaves the
+/// stream frame-aligned. The payload buffer grows with the bytes that
+/// actually arrive, never to the claimed length up front.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, ProtoError> {
     let mut len_buf = [0u8; 4];
     // A clean EOF at the frame boundary is a normal disconnect.
@@ -134,17 +137,21 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, ProtoError
     if len == 0 {
         return Err(ProtoError::Empty);
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    let op = body[0];
+    let mut op = [0u8; 1];
+    r.read_exact(&mut op)?;
+    let mut payload = Vec::new();
+    r.take(len as u64 - 1).read_to_end(&mut payload)?;
+    if payload.len() < len - 1 {
+        return Err(ProtoError::Io(io::ErrorKind::UnexpectedEof.into()));
+    }
+    let op = op[0];
     if !matches!(
         op,
         OP_INGEST | OP_ADVISE | OP_HEALTH | OP_METRICS | OP_DRAIN | OP_OK | OP_ERR
     ) {
         return Err(ProtoError::BadOpcode(op));
     }
-    body.remove(0);
-    Ok(Some((op, body)))
+    Ok(Some((op, payload)))
 }
 
 /// One ingest batch: a client-scoped id (for exactly-once folding) and
@@ -218,6 +225,48 @@ mod tests {
             Some((OP_OK, b"hello".to_vec()))
         );
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
+    }
+
+    /// A reader over `data` that records the largest buffer it is
+    /// handed.
+    struct Probe<'a> {
+        data: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Probe<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_claimed_length_allocates_only_what_arrives() {
+        let mut buf = (MAX_FRAME_LEN as u32).to_le_bytes().to_vec();
+        buf.push(OP_INGEST);
+        buf.extend_from_slice(&[0u8; 7]);
+        let mut probe = Probe {
+            data: &buf,
+            largest: 0,
+        };
+        let err = read_frame(&mut probe).unwrap_err();
+        assert_eq!(err.reason_key(), "io");
+        assert!(
+            probe.largest < 1024 * 1024,
+            "a 16 MiB claim over 8 bytes was handed a {}-byte buffer",
+            probe.largest
+        );
+    }
+
+    #[test]
+    fn a_bad_opcode_leaves_the_stream_frame_aligned() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 0x7f, b"junk").unwrap();
+        write_frame(&mut buf, OP_OK, b"next").unwrap();
+        let mut r = &buf[..];
+        assert_eq!(read_frame(&mut r).unwrap_err().reason_key(), "bad_opcode");
+        assert_eq!(read_frame(&mut r).unwrap(), Some((OP_OK, b"next".to_vec())));
     }
 
     #[test]

@@ -47,7 +47,7 @@ use std::collections::{HashMap, HashSet};
 /// measure this on hardware ("there is no easy way to measure how many
 /// cycles are lost due to false sharing on a native execution"); the
 /// simulator can, which makes the CycleLoss estimate checkable — see the
-/// `validate_cycleloss` binary.
+/// `ablate validate_cycleloss` study.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
 pub struct SharingMissEvent {
     /// The line (byte address / line size) the miss happened on.

@@ -290,7 +290,7 @@ pub fn build_kernel() -> Kernel {
     // manipulation lives in a helper function (as VFS layers really do),
     // which hides the v_flags <-> v_refcnt affinity from the
     // intra-procedural analysis -- unless the program is inlined first
-    // (paper 3.1; see `Kernel::inlined` and `ablation_inline`).
+    // (paper 3.1; see `Kernel::inlined` and `ablate inline`).
     let b_ref_mod = {
         let mut fb = FunctionBuilder::new("b_ref_mod");
         let b0 = fb.add_block();

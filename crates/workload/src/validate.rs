@@ -7,7 +7,7 @@
 //! the bytes other CPUs wrote, which — through the layout and the
 //! instance table — resolve to concrete **field pairs**. This module
 //! builds that ground truth, so the sampling-based estimate can be scored
-//! against reality (the `validate_cycleloss` binary).
+//! against reality (the `ablate validate_cycleloss` study).
 
 use crate::sdet::Instances;
 use slopt_ir::layout::StructLayout;
