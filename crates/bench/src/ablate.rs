@@ -16,8 +16,8 @@
 use std::collections::HashSet;
 
 use slopt_core::{
-    clustering_score, par_map, par_map_supervised, suggest_constrained, suggest_layout, FlgParams,
-    RefineParams, SubgraphParams, ToolParams,
+    clustering_score, suggest_constrained, suggest_layout, FlgParams, RefineParams, SubgraphParams,
+    ToolParams,
 };
 use slopt_ir::affinity::{AffinityGraph, AffinityMode};
 use slopt_ir::inline::InlineParams;
@@ -36,7 +36,7 @@ use slopt_workload::{
 };
 
 use crate::harness::{derive_paper_layouts, FigureSetup};
-use crate::runner::{measure_complete, Cell, ExecCtx, GridError};
+use crate::runner::{measure_complete, run_items, Cell, ExecCtx, GridError};
 
 /// One side study: the name `ablate NAME` selects it by (also its grid
 /// name and checkpoint file stem), the line `ablate --help` lists, and
@@ -451,30 +451,19 @@ fn sampling(ctx: &ExecCtx, setup: &FigureSetup) -> Result<(), GridError> {
         )
     };
     // (samples, isolated?, overlap) per grid row; None marks a hole.
-    type Row = Option<(usize, bool, f64)>;
-    let (rows, degraded): (Vec<Row>, Option<GridError>) = match &ctx.fault {
-        None => (
-            par_map(ctx.jobs, &grid, |_, &pair| Some(analyze_pair(pair))),
-            None,
-        ),
-        Some(fc) => {
-            let (rows, report) =
-                par_map_supervised(ctx.jobs, &grid, &fc.policy, |i, &pair, attempt| {
-                    fc.inject(i, attempt, &ctx.obs)?;
-                    Ok(analyze_pair(pair))
-                });
-            if report.had_faults() {
-                eprintln!("[sampling] {}", report.summary_line());
-            }
-            for f in &report.poisoned {
-                eprintln!("[sampling] poisoned: {f}");
-            }
-            let degraded = report.degraded().then_some(GridError::Degraded {
-                poisoned: report.poisoned.len(),
-            });
-            (rows, degraded)
-        }
-    };
+    let (rows, report) = run_items(
+        ctx,
+        &grid,
+        |i, _| i,
+        |&pair| analyze_pair(pair),
+        |_, _, _| {},
+    );
+    if report.had_faults() {
+        eprintln!("[sampling] {}", report.summary_line());
+    }
+    for f in &report.poisoned {
+        eprintln!("[sampling] poisoned: {f}");
+    }
 
     println!("=== ablation: sampling parameters (struct A isolation + CC fidelity) ===");
     println!(
@@ -497,7 +486,12 @@ fn sampling(ctx: &ExecCtx, setup: &FigureSetup) -> Result<(), GridError> {
             ),
         }
     }
-    degraded.map_or(Ok(()), Err)
+    if report.degraded() {
+        return Err(GridError::Degraded {
+            poisoned: report.poisoned.len(),
+        });
+    }
+    Ok(())
 }
 
 /// The CycleLoss estimate (§3.2: Code Concurrency × Field Mapping File

@@ -20,6 +20,11 @@
 //! in the simulator (objective wins that don't survive simulation lose
 //! here).
 //!
+//! Every throughput is a grid item of the shared runner: each record's
+//! validation is the grid `search_<record>`, each section's baseline and
+//! sort-by-hotness columns the grid `fig_search_<section>`, so the
+//! checkpoint and fault-plan flags apply to all of them.
+//!
 //! Deterministic: one master seed (`--seed`) fixes every chain, and the
 //! output is bit-identical for every `--jobs` value.
 //!
@@ -28,15 +33,16 @@
 //! `--seed`, `--chains`, `--steps`, `--top`.
 
 use slopt_bench::{
-    extra_flag, figure_setup, kernel_records, search_row, usage_exit, CommonArgs, SearchRowCfg,
+    extra_flag, figure_setup, kernel_records, measure_complete, search_row, usage_exit, Cell,
+    CommonArgs, ExecCtx, GridError, SearchRowCfg,
 };
 use slopt_core::sort_by_hotness;
 use slopt_ir::types::RecordId;
-use slopt_obs::Obs;
 use slopt_search::{Portfolio, SearchParams};
+use slopt_sim::LayoutTable;
 use slopt_workload::{
-    analyze_obs, baseline_layouts, layouts_with, measure, stress_workload, workload_records,
-    KernelAnalysis, Machine, WorkloadSpec,
+    analyze_obs, baseline_layouts, layouts_with, stress_workload, workload_records, KernelAnalysis,
+    Machine, WorkloadSpec,
 };
 
 const EXTRA_FLAGS: &str = "SEARCH OPTIONS:
@@ -46,37 +52,55 @@ const EXTRA_FLAGS: &str = "SEARCH OPTIONS:
     --top <n>             candidates re-measured in the simulator [default: 2]
 ";
 
-/// Runs the greedy-vs-search comparison over one workload's records and
-/// prints its table. Returns how many records the search's winning
-/// objective strictly beat greedy on.
+/// Runs the greedy-vs-search comparison over one workload's records,
+/// measures the baseline and each record's sort-by-hotness layout as one
+/// grid (`fig_search_<label>`), and prints the section's table. Returns
+/// how many records the search's winning objective strictly beat greedy
+/// on.
 fn section<W: WorkloadSpec + Sync>(
+    ctx: &ExecCtx,
     label: &str,
     w: &W,
     records: &[(String, RecordId)],
     analysis: &KernelAnalysis,
     cfg: &SearchRowCfg<'_>,
-    obs: &Obs,
-) -> usize {
-    let base_table = baseline_layouts(w, cfg.sdet.line_size);
-    let base = measure(w, &base_table, cfg.machine, cfg.sdet, cfg.runs, cfg.jobs);
-
-    println!(
-        "[{label}] {:<12} {:>14} {:>14} {:>10}  {:>8} {:>8} {:>8}",
-        "struct", "greedy obj", "search obj", "delta", "tool%", "hot%", "search%"
-    );
-    let mut better = 0usize;
-    for (name, rec) in records {
-        let rec = *rec;
-        let row = search_row(w, analysis, rec, cfg, obs);
-        let ty = w.record_type(rec);
+) -> Result<usize, GridError> {
+    let rows = records
+        .iter()
+        .map(|&(_, rec)| search_row(ctx, w, analysis, rec, cfg))
+        .collect::<Result<Vec<_>, _>>()?;
+    let line = cfg.sdet.line_size;
+    let cell = |cell_label: String, table: LayoutTable| Cell {
+        label: cell_label,
+        table,
+        sdet: cfg.sdet.clone(),
+        machine: cfg.machine.clone(),
+    };
+    let mut cells = vec![cell("baseline".to_string(), baseline_layouts(w, line))];
+    for ((name, rec), row) in records.iter().zip(&rows) {
+        let ty = w.record_type(*rec);
         let hot: Vec<u64> = ty
             .field_indices()
             .map(|f| row.suggestion.flg.hotness(f))
             .collect();
         let hot_layout =
             sort_by_hotness(ty, &hot, cfg.tool.layout.line_size).expect("valid record");
-        let hot_table = layouts_with(w, cfg.sdet.line_size, rec, hot_layout);
-        let hot_tp = measure(w, &hot_table, cfg.machine, cfg.sdet, cfg.runs, cfg.jobs);
+        cells.push(cell(
+            format!("{name}/hot"),
+            layouts_with(w, line, *rec, hot_layout),
+        ));
+    }
+    let measured = measure_complete(ctx, &format!("fig_search_{label}"), w, &cells, cfg.runs)?;
+    let (base, hot) = measured
+        .split_first()
+        .expect("the baseline is the first cell");
+
+    println!(
+        "[{label}] {:<12} {:>14} {:>14} {:>10}  {:>8} {:>8} {:>8}",
+        "struct", "greedy obj", "search obj", "delta", "tool%", "hot%", "search%"
+    );
+    let mut better = 0usize;
+    for (((name, _), row), hot_tp) in records.iter().zip(&rows).zip(hot) {
         let outcome = &row.search.outcome;
         let win = outcome.winner();
         if outcome.improved() {
@@ -88,16 +112,16 @@ fn section<W: WorkloadSpec + Sync>(
             outcome.greedy_score,
             win.score,
             win.score - outcome.greedy_score,
-            row.tool.pct_vs(&base),
-            hot_tp.pct_vs(&base),
-            row.best.pct_vs(&base),
+            row.tool.pct_vs(base),
+            hot_tp.pct_vs(base),
+            row.best.pct_vs(base),
         );
     }
     println!(
         "[{label}] search: strictly better objective than greedy on {better}/{} structs",
         records.len()
     );
-    better
+    Ok(better)
 }
 
 /// Reads a registered flag strictly; a malformed value exits 2.
@@ -126,7 +150,6 @@ fn main() {
     let top = flag(&argv, "--top", 2usize).max(1);
     let setup = figure_setup(&args);
     let ctx = args.ctx_or_exit();
-    let obs = &ctx.obs;
 
     let params = SearchParams {
         steps,
@@ -142,7 +165,6 @@ fn main() {
         },
         machine: &Machine::superdome(16),
         runs: setup.runs,
-        jobs: ctx.jobs,
         top,
     };
 
@@ -152,21 +174,30 @@ fn main() {
         setup.runs, ctx.jobs
     );
     let kernel_records = kernel_records(&setup.kernel);
-    let kernel_analysis = analyze_obs(&setup.kernel, &setup.sdet, &setup.analysis, obs);
+    let kernel_analysis = analyze_obs(&setup.kernel, &setup.sdet, &setup.analysis, &ctx.obs);
     let kernel_better = section(
+        &ctx,
         "kernel",
         &setup.kernel,
         &kernel_records,
         &kernel_analysis,
         &cfg,
-        obs,
-    );
+    )
+    .unwrap_or_else(|e| e.exit(&ctx));
 
     eprintln!("[fig_search] stress workload measurement run...");
     let stress = stress_workload();
     let stress_recs = workload_records(&stress);
-    let stress_analysis = analyze_obs(&stress, &setup.sdet, &setup.analysis, obs);
-    let stress_better = section("stress", &stress, &stress_recs, &stress_analysis, &cfg, obs);
+    let stress_analysis = analyze_obs(&stress, &setup.sdet, &setup.analysis, &ctx.obs);
+    let stress_better = section(
+        &ctx,
+        "stress",
+        &stress,
+        &stress_recs,
+        &stress_analysis,
+        &cfg,
+    )
+    .unwrap_or_else(|e| e.exit(&ctx));
 
     println!(
         "search vs greedy: kernel {kernel_better}/{} (greedy already optimal there), \

@@ -19,18 +19,15 @@
 //!    The bench also records `batch_peak_rss_kb` (sampled after the
 //!    reference reps) so the report carries the peak-memory comparison
 //!    the streaming path exists for.
-//! 2. **engine** — full SDET runs with the dense paged coherence
-//!    directory vs the reference `HashMap` directory
-//!    (`MemSystem::set_reference_directory`).
-//! 3. **cc** — `concurrency_map` (the blocked kernel) vs the frozen
+//! 2. **cc** — `concurrency_map` (the blocked kernel) vs the frozen
 //!    perf baseline `concurrency_map_reference` (the flat count-tensor
 //!    pipeline) on one synthetic sample stream. `concurrency_map_naive`
 //!    (triple-nested maps) is the test oracle: asserted equal once,
 //!    never timed.
-//! 4. **flg_cluster** — dense triangular `Flg` construction + greedy
+//! 3. **flg_cluster** — dense triangular `Flg` construction + greedy
 //!    clustering vs the hash-map `FlgRef` through the same generic
 //!    `cluster`.
-//! 5. **search_delta** — the annealing search's incremental
+//! 4. **search_delta** — the annealing search's incremental
 //!    `DeltaObjective` (`score_move` per proposal, `apply` on the
 //!    accepted ones) vs what a no-delta search pays: cloning the
 //!    clustering and re-running the full `clustering_score` on **every**
@@ -44,9 +41,11 @@
 //!
 //! Every comparison asserts bit-identical results before timing is
 //! trusted; an equivalence failure aborts with a non-zero exit. Speedups
-//! are reported, not enforced. The dense engine bench is also measured
-//! fanned over `--jobs N` host threads (via `slopt_core::par_map`) to
-//! record the parallel-runner speedup alongside the serial numbers.
+//! are reported, not enforced. The streamed CC bench is also measured
+//! with its fold fanned over `--jobs N` host threads, to record the
+//! parallel speedup alongside the serial numbers. Whole simulations have
+//! no bench here: the end-to-end benchmark (`benchmark/`) reports the
+//! simulator's cost per access.
 //!
 //! Flags: `--quick` (smaller workloads, used by ci.sh), `--jobs N`,
 //! `--out PATH` (default `BENCH_sim.json`), `--no-reference` (skip the
@@ -79,11 +78,7 @@ use slopt_ir::types::{FieldIdx, FieldType, PrimType, RecordId, RecordType};
 use slopt_sample::{
     concurrency_map, concurrency_map_naive, concurrency_map_reference, ConcurrencyConfig, Sample,
 };
-use slopt_sim::{CacheConfig, CpuId, EngineConfig, MemSystem, NullObserver};
-use slopt_workload::{
-    build_kernel, build_scripts, measurement_seeds, Instances, Kernel, Machine, SdetConfig,
-    WorkloadSpec,
-};
+use slopt_sim::CpuId;
 use std::time::Instant;
 
 struct Args {
@@ -130,7 +125,7 @@ struct BenchResult {
     /// (empty under `--no-reference`).
     reference_s: Vec<f64>,
     /// Total wall clock of all dense reps fanned over `--jobs` threads
-    /// (engine bench only; `None` elsewhere).
+    /// (`cc_stream` only; `None` elsewhere).
     dense_jobs_s: Option<f64>,
     jobs: usize,
     /// Peak resident set size (Linux `VmHWM`, kB) sampled right after the
@@ -331,109 +326,6 @@ fn bench_cc_stream(args: &Args) -> BenchResult {
         jobs: args.jobs,
         peak_rss_kb: stream_rss,
         batch_peak_rss_kb: batch_rss,
-        delta_full_ratio: None,
-    }
-}
-
-// ---------------------------------------------------------------- engine
-
-/// One full SDET run with the directory kind chosen up front; returns the
-/// engine fingerprint used for the dense-vs-reference equivalence check.
-fn engine_run(
-    kernel: &Kernel,
-    machine: &Machine,
-    cfg: &SdetConfig,
-    seed: u64,
-    reference: bool,
-) -> (u64, u64, u64) {
-    let cpus = machine.cpus();
-    let layouts = slopt_workload::baseline_layouts(kernel, cfg.line_size);
-    let instances = Instances::allocate(kernel, &layouts, cpus, cfg);
-    let scripts = build_scripts(kernel, &instances, cpus, cfg, seed);
-    let mut mem = MemSystem::new(machine.topo.clone(), machine.lat, cfg.cache);
-    mem.set_protocol(cfg.protocol);
-    mem.set_reference_directory(reference);
-    let engine_cfg = EngineConfig {
-        seed,
-        ..EngineConfig::default()
-    };
-    let result = slopt_sim::run(
-        kernel.program(),
-        &layouts,
-        &mut mem,
-        scripts,
-        &engine_cfg,
-        &mut NullObserver,
-    )
-    .expect("finite workload exceeded engine step bound");
-    (
-        result.makespan,
-        result.scripts_done as u64,
-        mem.stats().accesses(),
-    )
-}
-
-fn bench_engine(args: &Args) -> BenchResult {
-    let kernel = build_kernel();
-    let cfg = SdetConfig {
-        scripts_per_cpu: if args.quick { 8 } else { 24 },
-        pool_instances: if args.quick { 64 } else { 256 },
-        cache: CacheConfig {
-            line_size: 128,
-            sets: 256,
-            ways: 8,
-        },
-        ..SdetConfig::default()
-    };
-    let machine = Machine::superdome(16);
-    let runs = if args.quick { 3 } else { 6 };
-    let seeds = measurement_seeds(runs);
-
-    let mut dense_s = Vec::new();
-    let mut reference_s = Vec::new();
-    for &seed in &seeds {
-        let (dense, td) = time(|| engine_run(&kernel, &machine, &cfg, seed, false));
-        dense_s.push(td);
-        if args.reference {
-            let (refr, tr) = time(|| engine_run(&kernel, &machine, &cfg, seed, true));
-            reference_s.push(tr);
-            assert_eq!(
-                dense, refr,
-                "dense and reference directory disagree on seed {seed}"
-            );
-        }
-    }
-
-    // The same dense runs fanned over host threads, for the parallel
-    // wall-clock column.
-    let (par_results, jobs_total) = time(|| {
-        slopt_core::par_map(args.jobs, &seeds, |i, &seed| {
-            let _ = i;
-            engine_run(&kernel, &machine, &cfg, seed, false)
-        })
-    });
-    for (i, &seed) in seeds.iter().enumerate() {
-        let serial = engine_run(&kernel, &machine, &cfg, seed, false);
-        assert_eq!(
-            par_results[i], serial,
-            "parallel engine run diverged on seed {seed}"
-        );
-    }
-
-    BenchResult {
-        name: "engine",
-        work: format!(
-            "sdet 16-way, {} scripts/cpu, {} seeds",
-            cfg.scripts_per_cpu,
-            seeds.len()
-        ),
-        reps: seeds.len(),
-        dense_s,
-        reference_s,
-        dense_jobs_s: Some(jobs_total),
-        jobs: args.jobs,
-        peak_rss_kb: peak_rss_kb(),
-        batch_peak_rss_kb: None,
         delta_full_ratio: None,
     }
 }
@@ -813,7 +705,6 @@ fn main() {
         // cc_stream must run first: VmHWM only ever rises, so its peak-RSS
         // figure is meaningful only before any other bench allocates.
         bench_cc_stream(&args),
-        bench_engine(&args),
         bench_cc(&args),
         bench_flg_cluster(&args),
         bench_search_delta(&args),

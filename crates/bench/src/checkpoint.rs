@@ -12,23 +12,17 @@
 //!
 //! ## On-disk layout
 //!
-//! A checkpoint directory holds:
-//!
-//! * `<name>.ckpt` — the item log. Line 1 is the header
-//!   `slopt-ckpt/1 name=<name> items=<n> fp=<hex16>`, where `fp`
-//!   fingerprints the grid shape (cell labels, run count, machine and
-//!   workload sizing). Each later line is `item <index> <f64-bits-hex>`.
-//!   A torn final line (the process died mid-append) is tolerated and
-//!   dropped with a warning; a header mismatch means the resuming
-//!   invocation changed the grid and is an error.
-//! * `cc.snap` — a `slopt-ccsnap/1` snapshot of the analysis'
-//!   concurrency map (figure grids only; see
-//!   [`guard_cc_snapshot`]). Layout derivation is deterministic given
-//!   the concurrency map, so snapshot equality proves the resumed run
-//!   is continuing the *same* analysis even though the measurement run
-//!   is re-executed.
+//! A checkpoint directory holds one `<name>.ckpt` item log per grid.
+//! Line 1 is the header `slopt-ckpt/1 name=<name> items=<n> fp=<hex16>`,
+//! where `fp` fingerprints every input the grid's values depend on: the
+//! run count and, per cell, what the run memo keys a run on (program
+//! text and action mix, the canonical layout words, machine and
+//! workload config). Each later line is `item <index> <f64-bits-hex>`.
+//! A torn final line (the process died mid-append) is tolerated and
+//! dropped with a warning; a header mismatch means the resuming
+//! invocation measures something else — a changed grid, or layouts
+//! derived from a drifted analysis — and is an error.
 
-use slopt_sample::{load_concurrency, save_concurrency, ConcurrencyMap, SnapshotError};
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -36,9 +30,6 @@ use std::sync::Mutex;
 
 /// Schema tag of the item log.
 pub const CKPT_SCHEMA: &str = "slopt-ckpt/1";
-
-/// File name of the concurrency snapshot inside a checkpoint directory.
-pub const CC_SNAPSHOT_FILE: &str = "cc.snap";
 
 /// Where and whether to checkpoint, as requested by
 /// `--checkpoint-dir <dir>` / `--resume`.
@@ -51,11 +42,11 @@ pub struct CheckpointSpec {
 }
 
 /// FNV-1a over the parts, separated by `\n`. Stable across runs and
-/// platforms; used to fingerprint a grid's shape in the log header.
-pub fn fingerprint<'a>(parts: impl IntoIterator<Item = &'a str>) -> u64 {
+/// platforms; used to fingerprint a grid's inputs in the log header.
+pub fn fingerprint<P: AsRef<[u8]>>(parts: impl IntoIterator<Item = P>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for part in parts {
-        for &b in part.as_bytes() {
+        for &b in part.as_ref() {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -229,38 +220,6 @@ fn bad_ckpt(path: &Path, what: &str) -> io::Error {
         io::ErrorKind::InvalidData,
         format!("checkpoint {}: {what}", path.display()),
     )
-}
-
-/// Persists or verifies the analysis' concurrency map under a
-/// checkpoint directory: a fresh run writes `cc.snap`; a resumed run
-/// loads it and requires equality with `map`. Inequality means the
-/// resuming invocation's analysis drifted (different seed, scale,
-/// sampler or interval config) and its remaining cells would not belong
-/// to the same experiment — an error, not a warning.
-pub fn guard_cc_snapshot(spec: &CheckpointSpec, map: &ConcurrencyMap) -> io::Result<()> {
-    fs::create_dir_all(&spec.dir)?;
-    let path = spec.dir.join(CC_SNAPSHOT_FILE);
-    if spec.resume && path.exists() {
-        let saved = load_concurrency(&path).map_err(|e| match e {
-            SnapshotError::Io(e) => e,
-            other => io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("snapshot {}: {other}", path.display()),
-            ),
-        })?;
-        if &saved != map {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "snapshot {}: concurrency map differs from the checkpointed analysis — \
-                     the resuming invocation is configured differently",
-                    path.display()
-                ),
-            ));
-        }
-        return Ok(());
-    }
-    save_concurrency(&path, map)
 }
 
 #[cfg(test)]

@@ -6,16 +6,15 @@
 
 use slopt_core::{Suggestion, ToolParams};
 use slopt_ir::types::RecordId;
-use slopt_obs::Obs;
 use slopt_search::{Portfolio, SearchParams};
 use slopt_workload::{
-    compute_paper_layouts_jobs_obs, layouts_with, measure, search_for_obs, suggest_for_obs,
-    validate_top_k, AnalysisConfig, Figure, Kernel, KernelAnalysis, LayoutKind, Machine,
-    PaperLayouts, SdetConfig, StructSearch, Throughput, WorkloadSpec,
+    compute_paper_layouts_jobs_obs, layouts_with, search_for_obs, suggest_for_obs, AnalysisConfig,
+    Figure, Kernel, KernelAnalysis, LayoutKind, Machine, PaperLayouts, SdetConfig, StructSearch,
+    Throughput, WorkloadSpec,
 };
 
 use crate::args::CommonArgs;
-use crate::runner::{resolve, ExecCtx, FigureOutcome, GridError};
+use crate::runner::{measure_complete, resolve, Cell, ExecCtx, FigureOutcome, GridError};
 
 /// Everything a figure binary needs: the kernel, workload sizing, analysis
 /// configuration and tool parameters.
@@ -200,7 +199,7 @@ pub fn select_records(
 }
 
 /// Everything one greedy-vs-search row needs beyond the workload and
-/// its analysis.
+/// its analysis. The thread count is [`ExecCtx::jobs`].
 #[derive(Clone, Debug)]
 pub struct SearchRowCfg<'a> {
     /// Workload sizing of the validation runs.
@@ -215,8 +214,6 @@ pub struct SearchRowCfg<'a> {
     pub machine: &'a Machine,
     /// Measured runs per validated layout.
     pub runs: usize,
-    /// Host threads.
-    pub jobs: usize,
     /// Search candidates re-measured in the simulator.
     pub top: usize,
 }
@@ -235,17 +232,21 @@ pub struct SearchRow {
     pub best: Throughput,
 }
 
-/// Computes one greedy-vs-search row: the annealing portfolio, simulator
-/// validation of its top candidates, the tool's greedy suggestion, and
-/// the tool layout's measured throughput. Deterministic per seed and
-/// bit-identical for every `jobs` value.
+/// Computes one greedy-vs-search row: the annealing portfolio, the
+/// tool's greedy suggestion, then one grid, `search_<record name>`, that
+/// measures the top `cfg.top` distinct candidates (by FLG objective)
+/// and the tool layout. The FLG objective is a model and the simulator
+/// the ground truth, so the best candidate is the highest measured mean,
+/// ties going to the earlier, better-objective one. Deterministic per
+/// seed and bit-identical for every `ctx.jobs`; a holed grid prints its
+/// partial table and gives [`GridError::Degraded`].
 pub fn search_row<W: WorkloadSpec + Sync>(
+    ctx: &ExecCtx,
     w: &W,
     analysis: &KernelAnalysis,
     rec: RecordId,
     cfg: &SearchRowCfg<'_>,
-    obs: &Obs,
-) -> SearchRow {
+) -> Result<SearchRow, GridError> {
     let search = search_for_obs(
         w,
         analysis,
@@ -253,34 +254,43 @@ pub fn search_row<W: WorkloadSpec + Sync>(
         cfg.tool,
         cfg.params,
         cfg.portfolio,
-        cfg.jobs,
-        obs,
+        ctx.jobs,
+        &ctx.obs,
     );
-    let (mut validated, best_i) = validate_top_k(
-        w,
-        &search,
-        cfg.tool,
-        cfg.machine,
-        cfg.sdet,
-        cfg.top,
-        cfg.runs,
-        cfg.jobs,
-    );
-    let suggestion = suggest_for_obs(w, analysis, rec, cfg.tool, obs);
-    let tool = measure(
-        w,
-        &layouts_with(w, cfg.sdet.line_size, rec, suggestion.layout.clone()),
-        cfg.machine,
-        cfg.sdet,
-        cfg.runs,
-        cfg.jobs,
-    );
-    SearchRow {
+    let suggestion = suggest_for_obs(w, analysis, rec, cfg.tool, &ctx.obs);
+    let cell = |label: String, layout| Cell {
+        label,
+        table: layouts_with(w, cfg.sdet.line_size, rec, layout),
+        sdet: cfg.sdet.clone(),
+        machine: cfg.machine.clone(),
+    };
+    let mut cells: Vec<Cell> = search
+        .outcome
+        .top_k(cfg.top)
+        .into_iter()
+        .map(|c| {
+            cell(
+                format!("chain {}", c.chain),
+                search.layout_of(w, c, cfg.tool),
+            )
+        })
+        .collect();
+    cells.push(cell("tool".to_string(), suggestion.layout.clone()));
+    let name = format!("search_{}", w.record_type(rec).name());
+    let mut measured = measure_complete(ctx, &name, w, &cells, cfg.runs)?;
+    let tool = measured.pop().expect("the tool layout is the last cell");
+    let mut best = 0usize;
+    for (i, t) in measured.iter().enumerate() {
+        if t.mean > measured[best].mean {
+            best = i;
+        }
+    }
+    Ok(SearchRow {
         search,
         suggestion,
         tool,
-        best: validated.swap_remove(best_i).throughput,
-    }
+        best: measured.swap_remove(best),
+    })
 }
 
 #[cfg(test)]

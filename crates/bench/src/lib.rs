@@ -31,7 +31,7 @@ pub use ablate::{ablations, select_ablations, Ablation};
 pub use args::{
     extra_flag, help_text, usage_exit, ArgError, CommonArgs, EXIT_CODE_TABLE, FLAG_REFERENCE,
 };
-pub use checkpoint::{fingerprint, guard_cc_snapshot, Checkpoint, CheckpointSpec};
+pub use checkpoint::{fingerprint, Checkpoint, CheckpointSpec};
 pub use harness::{
     derive_paper_layouts, figure_main, figure_setup, kernel_records, measure_paper_figure,
     paper_figures, search_row, select_records, FigureSetup, PaperFigure, SearchRow, SearchRowCfg,

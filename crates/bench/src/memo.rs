@@ -72,7 +72,7 @@ fn intern<K: Eq + Hash>(map: &mut HashMap<K, u32>, key: K) -> u32 {
 /// A layout table as words: per record, in id order, its id, size,
 /// alignment, line size and field count, then every field's offset and
 /// size.
-fn canonical_table(table: &LayoutTable) -> Box<[u64]> {
+pub(crate) fn canonical_table(table: &LayoutTable) -> Box<[u64]> {
     let mut words = Vec::new();
     for (rec, layout) in table.iter() {
         let fields = layout.order().len();
@@ -90,26 +90,28 @@ fn canonical_table(table: &LayoutTable) -> Box<[u64]> {
     words.into_boxed_slice()
 }
 
+/// The identity of a workload: its printed program and action mix.
+pub(crate) fn program_text(spec: &impl WorkloadSpec) -> String {
+    format!("{}\n{:?}", print_program(spec.program()), spec.actions())
+}
+
+/// A machine and workload config as text.
+pub(crate) fn config_text(machine: &Machine, sdet: &SdetConfig) -> String {
+    format!("{machine:?} {sdet:?}")
+}
+
 impl RunMemo {
-    /// The identity of a workload: its printed program and action mix.
-    pub(crate) fn program_id(&self, spec: &impl WorkloadSpec) -> ProgramId {
-        let text = format!("{}\n{:?}", print_program(spec.program()), spec.actions());
-        ProgramId(intern(&mut self.lock().programs, text))
+    /// The interned [`program_text`].
+    pub(crate) fn program_id(&self, text: &str) -> ProgramId {
+        ProgramId(intern(&mut self.lock().programs, text.to_string()))
     }
 
-    /// The inputs of a run on `program`, everything but the seed.
-    pub(crate) fn inputs_id(
-        &self,
-        program: ProgramId,
-        table: &LayoutTable,
-        machine: &Machine,
-        sdet: &SdetConfig,
-    ) -> InputsId {
-        let config = format!("{machine:?} {sdet:?}");
-        let words = canonical_table(table);
+    /// The inputs of a run on `program`, everything but the seed: a
+    /// [`config_text`] and a [`canonical_table`].
+    pub(crate) fn inputs_id(&self, program: ProgramId, config: &str, words: &[u64]) -> InputsId {
         let mut st = self.lock();
-        let config = intern(&mut st.configs, config);
-        InputsId(intern(&mut st.inputs, (program.0, config, words)))
+        let config = intern(&mut st.configs, config.to_string());
+        InputsId(intern(&mut st.inputs, (program.0, config, words.into())))
     }
 
     /// The run of `inputs` at `seed`: the memoized one, or `simulate()`'s
@@ -159,11 +161,12 @@ mod tests {
     fn run_simulates_once_per_key() {
         let memo = RunMemo::default();
         let kernel = build_kernel();
-        let program = memo.program_id(&kernel);
-        assert_eq!(program, memo.program_id(&kernel));
-        let table = baseline_layouts(&kernel, 128);
-        let inputs = memo.inputs_id(program, &table, &Machine::bus(2), &SdetConfig::default());
-        let other = memo.inputs_id(program, &table, &Machine::bus(4), &SdetConfig::default());
+        let program = memo.program_id(&program_text(&kernel));
+        assert_eq!(program, memo.program_id(&program_text(&kernel)));
+        let words = canonical_table(&baseline_layouts(&kernel, 128));
+        let sdet = SdetConfig::default();
+        let inputs = memo.inputs_id(program, &config_text(&Machine::bus(2), &sdet), &words);
+        let other = memo.inputs_id(program, &config_text(&Machine::bus(4), &sdet), &words);
         assert_ne!(inputs, other, "the machine is part of the key");
         let summary = |makespan| RunSummary {
             makespan,

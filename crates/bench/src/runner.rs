@@ -1,16 +1,19 @@
 //! The shared parallel experiment runner.
 //!
-//! Every figure and every `ablate` row is, at heart, the same program:
-//! build a grid of *measurement cells* — each a layout table measured
-//! under some workload/machine configuration — measure all of them, and
-//! print a table. This module owns that shape once:
+//! Every figure, every `ablate` row and every layout-search validation
+//! is, at heart, the same program: build a grid of *measurement cells* —
+//! each a layout table measured under some workload/machine
+//! configuration — measure all of them, and print a table. This module
+//! owns that shape once:
 //!
 //! * [`ExecCtx`] — the execution context: observability, checkpointing,
 //!   fault supervision, the thread count and the run memo, composed as
 //!   *data* rather than as a combinatorial family of function variants;
 //! * [`Cell`] — one grid cell (label + layout table + config + machine);
 //! * [`measure_cells`] — measures the whole grid under an [`ExecCtx`],
-//!   fanned out over host threads at `(cell, run-seed)` granularity;
+//!   fanned out over host threads at `(cell, run-seed)` granularity,
+//!   through the one trusting-or-supervised scheduler fork
+//!   (`run_items`, which `ablate`'s `sampling` row shares);
 //! * [`figure`] — the figure-shaped wrapper: same grid, cells generated
 //!   by [`figure_tables`], assembled into a [`Figure`];
 //! * [`resolve`] — the one complete-vs-degraded decision shared by every
@@ -33,8 +36,8 @@ use slopt_workload::{
     LayoutKind, Machine, PaperLayouts, SdetConfig, Throughput, WorkloadSpec,
 };
 
-use crate::checkpoint::{fingerprint, guard_cc_snapshot, Checkpoint, CheckpointSpec};
-use crate::memo::{RunMemo, RunSummary};
+use crate::checkpoint::{fingerprint, Checkpoint, CheckpointSpec};
+use crate::memo::{self, RunMemo, RunSummary};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -222,6 +225,69 @@ pub struct GridOutcome {
     pub report: FaultReport,
 }
 
+/// The one trusting-or-supervised fork: maps `work` over `items` on
+/// `ctx.jobs` threads and returns one value per item, in item order,
+/// plus the pool's report.
+///
+/// Without `ctx.fault` every item runs once and completes. With it, items
+/// run through the supervised pool: the plan's [`SITE_WORKER`] faults
+/// fire at `key(position, item)` — the item's grid index, so decisions
+/// are identical under any `jobs` value and across resume — panics are
+/// contained, transients retry, and an item that still fails is a `None`
+/// hole, reported under its key. `commit(item, value, attempt)` runs once
+/// per *accepted* value (the trusting path accepts every value at
+/// attempt 0).
+pub(crate) fn run_items<I: Sync, T: Send>(
+    ctx: &ExecCtx,
+    items: &[I],
+    key: impl Fn(usize, &I) -> usize + Sync,
+    work: impl Fn(&I) -> T + Sync,
+    commit: impl Fn(&I, &T, u32) + Sync,
+) -> (Vec<Option<T>>, FaultReport) {
+    let obs = &ctx.obs;
+    match &ctx.fault {
+        None => {
+            let values = slopt_core::par_map(ctx.jobs, items, |_, item| {
+                let value = work(item);
+                commit(item, &value, 0);
+                Some(value)
+            });
+            let report = FaultReport {
+                items: items.len(),
+                completed: items.len(),
+                ..FaultReport::default()
+            };
+            (values, report)
+        }
+        Some(fault) => {
+            let (values, mut report) = par_map_supervised_commit(
+                ctx.jobs,
+                items,
+                &fault.policy,
+                |i, item, attempt| {
+                    fault.inject(key(i, item), attempt, obs)?;
+                    Ok(work(item))
+                },
+                |_, item, value, attempt| commit(item, value, attempt),
+            );
+            for failure in &mut report.poisoned {
+                failure.index = key(failure.index, &items[failure.index]);
+            }
+            if obs.enabled() {
+                obs.counter("retry.attempts", report.retries);
+                obs.counter("retry.recovered", report.recovered as u64);
+                if !report.poisoned.is_empty() {
+                    obs.warning_n("fault.poisoned", report.poisoned.len() as u64);
+                }
+                if report.deadline_hits > 0 {
+                    obs.warning_n("fault.deadline", report.deadline_hits);
+                }
+            }
+            (values, report)
+        }
+    }
+}
+
 /// Measures every cell — a warm-up plus `runs` measured runs each —
 /// under the given execution context, and returns one (possibly holed)
 /// [`Throughput`] per cell, in cell order.
@@ -252,9 +318,10 @@ pub struct GridOutcome {
 ///   Persisted values are exact `f64` bit patterns and results are
 ///   assembled by grid index either way, so a resumed run's output is
 ///   bit-identical to an uninterrupted one. The log header fingerprints
-///   the grid (name, run count, per-cell label + machine + workload
-///   config), so resuming a *different* grid is an error rather than a
-///   silent mix of experiments. Emits `ckpt.items_total` /
+///   the grid name, the run count and every cell's run inputs — the
+///   memo's key: program, canonical layout table, machine and workload
+///   config — so resuming a grid whose values could differ is an error
+///   rather than a silent mix of experiments. Emits `ckpt.items_total` /
 ///   `ckpt.items_resumed` counters and a `ckpt.torn_line` warning when
 ///   the previous run died mid-append.
 /// * **Fault supervision** (`ctx.fault`): grid items run through the
@@ -287,13 +354,35 @@ pub fn measure_cells(
         .flat_map(|c| seeds.iter().map(move |&seed| (c, seed)))
         .collect();
 
+    let program_text = memo::program_text(kernel);
+    let program = ctx.memo.program_id(&program_text);
+    let keys: Vec<(String, Box<[u64]>)> = cells
+        .iter()
+        .map(|c| {
+            let config = memo::config_text(&c.machine, &c.sdet);
+            (config, memo::canonical_table(&c.table))
+        })
+        .collect();
+    let inputs: Vec<_> = keys
+        .iter()
+        .map(|(config, words)| ctx.memo.inputs_id(program, config, words))
+        .collect();
+
     let ckpt = match &ctx.checkpoint {
         Some(spec) => {
-            let mut parts: Vec<String> = vec![name.to_string(), format!("runs={runs}")];
-            for cell in cells {
-                parts.push(format!("{} {:?} {:?}", cell.label, cell.machine, cell.sdet));
+            // The header keys on what the values depend on — the memo's
+            // run inputs — so resuming against any changed cell, layouts
+            // included, is a mismatch rather than a silent mix.
+            let mut parts: Vec<Vec<u8>> = vec![
+                name.into(),
+                format!("runs={runs}").into(),
+                program_text.clone().into(),
+            ];
+            for (config, words) in &keys {
+                parts.push(config.clone().into());
+                parts.push(words.iter().flat_map(|w| w.to_le_bytes()).collect());
             }
-            let fp = fingerprint(parts.iter().map(String::as_str));
+            let fp = fingerprint(&parts);
             let ck = Checkpoint::open(spec, name, grid.len(), fp)?;
             if obs.enabled() {
                 obs.counter("ckpt.items_total", grid.len() as u64);
@@ -332,17 +421,9 @@ pub fn measure_cells(
         ctx.jobs.max(1).min(pending.len().max(1))
     );
     let t0 = std::time::Instant::now();
-    let program = ctx.memo.program_id(kernel);
-    let inputs: Vec<_> = cells
-        .iter()
-        .map(|cell| {
-            ctx.memo
-                .inputs_id(program, &cell.table, &cell.machine, &cell.sdet)
-        })
-        .collect();
     let (memo_hits, memo_runs) = (AtomicU64::new(0), AtomicU64::new(0));
-    // One grid item's simulation, shared by both schedulers.
-    let simulate = |c: usize, seed: u64| -> f64 {
+    // One grid item's simulation.
+    let simulate = |&(_, c, seed): &(usize, usize, u64)| -> f64 {
         let _cell = obs.span("measure_cell");
         let cell = &cells[c];
         let (run, hit) = ctx.memo.run(inputs[c], seed, || {
@@ -372,7 +453,7 @@ pub fn measure_cells(
     // run's only durable side effect, so it sits behind the supervised
     // pool's acceptance boundary: an item the pool rejects (deadline
     // overrun, quarantine) must never be recorded as completed.
-    let commit_value = |i: usize, value: f64, attempt: u32| {
+    let commit_value = |&(i, _, _): &(usize, usize, u64), &value: &f64, attempt: u32| {
         if let Some(ck) = &ckpt {
             let dropped = ctx.fault.as_ref().is_some_and(|f| {
                 f.plan
@@ -387,60 +468,13 @@ pub fn measure_cells(
             }
         }
     };
-    let report = match &ctx.fault {
-        None => {
-            let computed = {
-                let _span = obs.span("measure_grid");
-                slopt_core::par_map(ctx.jobs, &pending, |_, &(i, c, seed)| {
-                    let value = simulate(c, seed);
-                    commit_value(i, value, 0);
-                    (i, value)
-                })
-            };
-            for (i, value) in computed {
-                values[i] = Some(value);
-            }
-            FaultReport {
-                items: pending.len(),
-                completed: pending.len(),
-                ..FaultReport::default()
-            }
-        }
-        Some(fault) => {
-            let (computed, mut report) = {
-                let _span = obs.span("measure_grid");
-                par_map_supervised_commit(
-                    ctx.jobs,
-                    &pending,
-                    &fault.policy,
-                    |_, &(i, c, seed), attempt| {
-                        fault.inject(i, attempt, obs)?;
-                        Ok((i, simulate(c, seed)))
-                    },
-                    |_, _, &(i, value), attempt| commit_value(i, value, attempt),
-                )
-            };
-            // The supervisor numbers items by position in `pending`;
-            // remap poisoned entries to grid indices for reporting.
-            for failure in &mut report.poisoned {
-                failure.index = pending[failure.index].0;
-            }
-            for (i, value) in computed.into_iter().flatten() {
-                values[i] = Some(value);
-            }
-            if obs.enabled() {
-                obs.counter("retry.attempts", report.retries);
-                obs.counter("retry.recovered", report.recovered as u64);
-                if !report.poisoned.is_empty() {
-                    obs.warning_n("fault.poisoned", report.poisoned.len() as u64);
-                }
-                if report.deadline_hits > 0 {
-                    obs.warning_n("fault.deadline", report.deadline_hits);
-                }
-            }
-            report
-        }
+    let (computed, report) = {
+        let _span = obs.span("measure_grid");
+        run_items(ctx, &pending, |_, &(i, _, _)| i, simulate, commit_value)
     };
+    for (&(i, _, _), value) in pending.iter().zip(computed) {
+        values[i] = value;
+    }
     if obs.enabled() {
         obs.counter("runner.cells", cells.len() as u64);
         obs.counter("runner.runs_per_cell", seeds.len() as u64);
@@ -490,11 +524,9 @@ pub struct FigureOutcome {
 ///
 /// The grid comes from [`figure_tables`] (the single source of cell
 /// order) and is measured by [`measure_cells`], so the result is
-/// bit-identical for every `jobs` value, checkpointed or not. With a
-/// checkpoint, the analysis' concurrency map is additionally snapshotted
-/// to `cc.snap` ([`guard_cc_snapshot`]): a resumed run whose analysis
-/// drifted from the checkpointed one fails instead of mixing two
-/// experiments.
+/// bit-identical for every `jobs` value, checkpointed or not. A resumed
+/// run whose layouts were derived from a drifted analysis fails at the
+/// checkpoint header instead of mixing two experiments.
 ///
 /// When permanent faults poison cells the [`FigureOutcome`] carries the
 /// partial per-cell values instead of a figure, and the caller is
@@ -512,9 +544,6 @@ pub fn figure(
     kinds: &[LayoutKind],
     title: impl Into<String>,
 ) -> std::io::Result<FigureOutcome> {
-    if let Some(spec) = &ctx.checkpoint {
-        guard_cc_snapshot(spec, &layouts.analysis.concurrency)?;
-    }
     let (tables, meta) = figure_tables(kernel, sdet, layouts, kinds);
     let cells: Vec<Cell> = tables
         .into_iter()
@@ -562,7 +591,7 @@ pub fn figure(
 /// so every caller agrees on it.
 #[derive(Debug)]
 pub enum GridError {
-    /// Checkpoint or snapshot I/O failed.
+    /// Checkpoint I/O failed.
     Io(std::io::Error),
     /// Permanent faults holed the grid (the partial table is already
     /// printed).
@@ -1062,6 +1091,34 @@ mod tests {
         let out = complete(measure_cells(&ctx, "groups", &kernel, &cells, 2).expect("no I/O"));
         assert_eq!(out.iter().map(run_bits).collect::<Vec<_>>(), direct);
         assert_eq!(memo_counts(&obs), (6, 0));
+    }
+
+    #[test]
+    fn resuming_a_grid_whose_layouts_changed_is_a_header_mismatch() {
+        let (kernel, cells) = small_cells(2);
+        let (_, mut changed) = alternating_cells(2);
+        for (a, b) in cells.iter().zip(&changed) {
+            assert_eq!(a.label, b.label);
+        }
+        let dir = std::env::temp_dir().join(format!("slopt_runner_fp_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = |resume| CheckpointSpec {
+            dir: dir.clone(),
+            resume,
+        };
+        let ctx = ExecCtx::bare(1).with_checkpoint(spec(false));
+        measure_cells(&ctx, "t", &kernel, &cells, 2).expect("ckpt I/O");
+        let resume = ExecCtx::bare(1).with_checkpoint(spec(true));
+        let err = measure_cells(&resume, "t", &kernel, &changed, 2).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("header mismatch"), "{err}");
+        // The unchanged grid still resumes, every item from the log.
+        changed[1].table = cells[1].table.clone();
+        let obs = slopt_obs::Obs::aggregating();
+        let resume = resume.with_obs(obs.clone());
+        measure_cells(&resume, "t", &kernel, &changed, 2).expect("ckpt I/O");
+        assert_eq!(obs.summary().metrics.counter("ckpt.items_resumed"), 6);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -112,13 +112,17 @@ USAGE:
     slopt-tool search [--stress | --program FILE] [--struct NAME]
                       [--seed S] [--chains C] [--steps K]
                       [--validate-top T] [--jobs N] [--cpus N]
+                      [--checkpoint-dir DIR [--resume]]
+                      [--fault-plan SPEC] [--max-retries N] [--deadline-ms N]
         Run the slopt-search annealing portfolio against the greedy
         clustering and validate the winner in simulated cycles. By
         default on the built-in kernel (where greedy is already
         optimal); --stress uses the shipped stress workload whose
         affinity structure greedy provably mishandles; --program runs a
         user workload file. Deterministic per --seed and bit-identical
-        for every --jobs value.
+        for every --jobs value. Each struct's validation is one
+        measurement grid, search_<struct>, checkpointed and
+        fault-injected as in `figures`.
 
     slopt-tool stats <trace.jsonl> [--prom]
         Replay a saved run trace and print the aggregate counter/span/
@@ -348,22 +352,26 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// A grid that produced no complete result, as the command's error:
+/// flushes the context, keeps the grid's exit code (1 on checkpoint I/O,
+/// 4 on a holed grid).
+fn grid_failed(ctx: &ExecCtx, what: &str, e: GridError) -> CliError {
+    ctx.finish();
+    CliError {
+        message: format!("{what}: {e}"),
+        code: e.exit_code(),
+    }
+}
+
 /// `slopt-tool figures`: the paper's Figures 8, 9 and 10 over one layout
 /// derivation, then a baseline sanity line.
 pub fn figures(args: &[String]) -> Result<(), CliError> {
     let (common, ctx) = exec_ctx(args, &[])?;
     let setup = figure_setup(&common);
     let layouts = derive_paper_layouts(&ctx, &setup, "figures");
-    let failed = |what: &str, e: GridError| {
-        ctx.finish();
-        CliError {
-            message: format!("{what}: {e}"),
-            code: e.exit_code(),
-        }
-    };
     for spec in paper_figures() {
         let fig = measure_paper_figure(&ctx, &setup, &layouts, &spec)
-            .map_err(|e| failed(spec.title, e))?;
+            .map_err(|e| grid_failed(&ctx, spec.title, e))?;
         println!("{fig}");
     }
     // A sanity line so users see the baseline too. It is Figure 8's
@@ -376,7 +384,7 @@ pub fn figures(args: &[String]) -> Result<(), CliError> {
         machine: Machine::superdome(128),
     };
     let base = measure_complete(&ctx, "sanity", kernel, &[cell], setup.runs)
-        .map_err(|e| failed("baseline sanity", e))?;
+        .map_err(|e| grid_failed(&ctx, "baseline sanity", e))?;
     println!("(baseline sanity: {:.1} scripts/Mcycle)", base[0].mean);
     ctx.finish();
     Ok(())
@@ -429,21 +437,19 @@ pub fn search(args: &[String]) -> Result<(), CliError> {
         },
         machine: &Machine::superdome(16),
         runs: 5,
-        jobs: ctx.jobs,
         top,
     };
     eprintln!("[search] seed {seed}, {chains} chains x {steps} steps, validating top {top} ...");
 
-    let obs = &ctx.obs;
     let (better, total) = if stress {
         let w = stress_workload();
-        search_table(&w, workload_records(&w), wanted, &analysis_cfg, &cfg, obs)?
+        search_table(&ctx, &w, workload_records(&w), wanted, &analysis_cfg, &cfg)?
     } else if let Some(path) = &program {
         let w = load_program(path)?;
-        search_table(&w, workload_records(&w), wanted, &analysis_cfg, &cfg, obs)?
+        search_table(&ctx, &w, workload_records(&w), wanted, &analysis_cfg, &cfg)?
     } else {
         let k = build_kernel();
-        search_table(&k, kernel_records(&k), wanted, &analysis_cfg, &cfg, obs)?
+        search_table(&ctx, &k, kernel_records(&k), wanted, &analysis_cfg, &cfg)?
     };
     println!("search: strictly better objective than greedy on {better}/{total} structs");
     ctx.finish();
@@ -451,25 +457,26 @@ pub fn search(args: &[String]) -> Result<(), CliError> {
 }
 
 /// Measures one workload and prints the greedy-vs-search table over
-/// its selected records (an unknown `--struct` is a usage error).
-/// Returns `(strictly_better, total)`.
+/// its selected records (an unknown `--struct` is a usage error, a holed
+/// grid exits as `figures` does). Returns `(strictly_better, total)`.
 fn search_table<W: WorkloadSpec + Sync>(
+    ctx: &ExecCtx,
     w: &W,
     all: Vec<(String, RecordId)>,
     wanted: Option<&str>,
     analysis_cfg: &AnalysisConfig,
     cfg: &SearchRowCfg<'_>,
-    obs: &slopt_obs::Obs,
 ) -> Result<(usize, usize), CliError> {
     let records = select_records(all, wanted).map_err(CliError::usage)?;
-    let analysis = analyze_obs(w, cfg.sdet, analysis_cfg, obs);
+    let analysis = analyze_obs(w, cfg.sdet, analysis_cfg, &ctx.obs);
     println!(
         "{:<12} {:>14} {:>14} {:>12}  {:>10}",
         "struct", "greedy obj", "search obj", "delta", "sim-vs-tool%"
     );
     let mut better = 0usize;
     for (name, rec) in &records {
-        let row = search_row(w, &analysis, *rec, cfg, obs);
+        let row =
+            search_row(ctx, w, &analysis, *rec, cfg).map_err(|e| grid_failed(ctx, name, e))?;
         let outcome = &row.search.outcome;
         let win = outcome.winner();
         if outcome.improved() {
@@ -810,6 +817,23 @@ mod tests {
         let err = search(&args).unwrap_err();
         assert_eq!(err.code, exit::USAGE);
         assert!(err.message.contains("dcache_ent"), "{}", err.message);
+    }
+
+    /// Validation runs are grid items, so a permanent fault plan holes
+    /// the first struct's grid and the run degrades instead of printing
+    /// the clean table.
+    #[test]
+    fn search_under_a_permanent_fault_plan_degrades() {
+        let args = strs(&[
+            "--stress",
+            "--seed",
+            "42",
+            "--fault-plan",
+            "seed=3,permanent=1",
+        ]);
+        let err = search(&args).unwrap_err();
+        assert_eq!(err.code, exit::DEGRADED, "{}", err.message);
+        assert!(err.message.contains("poisoned"), "{}", err.message);
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //!
 //! For production-scale traces, [`shard`] replaces the in-memory trace
 //! with fixed-size on-disk shards and a bounded-memory
-//! [`StreamingConcurrency`] fold that is bit-identical to step 2, and
-//! [`snapshot`] persists concurrency maps for checkpointed grid runs.
+//! [`StreamingConcurrency`] fold that is bit-identical to step 2.
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -30,7 +29,6 @@ pub mod concurrency;
 pub mod cycleloss;
 pub mod sampler;
 pub mod shard;
-pub mod snapshot;
 
 pub use concurrency::{
     concurrency_map, concurrency_map_naive, concurrency_map_obs, concurrency_map_reference,
@@ -43,4 +41,3 @@ pub use shard::{
     write_shards, ShardError, ShardIngestStats, ShardReader, StreamingConcurrency,
     WindowedConcurrency,
 };
-pub use snapshot::{load_concurrency, save_concurrency, SnapshotError};

@@ -20,8 +20,8 @@
 //!   constrained layouts once and build each figure's grid of layout
 //!   tables (Figures 8, 9, 10); `slopt-bench`'s runner measures the grid.
 //! * [`mod@search`] — greedy-vs-search: the `slopt-search` annealing
-//!   portfolio run on the tool's own per-record FLG, with the top-k
-//!   candidates validated in simulated cycles.
+//!   portfolio run on the tool's own per-record FLG, its candidates
+//!   materialized as layouts for `slopt-bench` to measure.
 //! * [`stress`] — a shipped workload spec whose affinity structure traps
 //!   the greedy clustering in a local optimum the search escapes.
 
@@ -51,7 +51,7 @@ pub use sdet::{
     baseline_layouts, build_scripts, layouts_with, measure, measurement_seeds, run_once,
     run_once_logged, run_once_obs, Instances, Machine, SdetConfig, SdetRun, Throughput,
 };
-pub use search::{search_for, search_for_obs, validate_top_k, StructSearch, ValidatedCandidate};
+pub use search::{search_for, search_for_obs, StructSearch};
 pub use spec::{parse_workload_file, SpecError};
 pub use stress::{stress_workload, workload_records, SEARCH_STRESS_SPEC};
 pub use structs::{KernelRecords, STAT_CLASSES};

@@ -1,13 +1,11 @@
 //! Greedy-vs-search integration: run the `slopt-search` portfolio on
-//! the same per-record FLG the tool clusters, materialize candidate
-//! clusterings as concrete layouts, and **validate them in simulated
-//! cycles** — the FLG objective is a model, the simulator is the
-//! ground truth, so the top-k candidates by objective are re-scored by
-//! measured throughput before one is chosen.
+//! the same per-record FLG the tool clusters, and materialize candidate
+//! clusterings as concrete layouts. The FLG objective is a model and the
+//! simulator the ground truth, so `slopt-bench`'s `search_row` measures
+//! the top-k candidates as one grid before choosing one.
 
 use crate::analyze::{affinity_for, loss_for, KernelAnalysis};
 use crate::kernel::WorkloadSpec;
-use crate::sdet::{layouts_with, measure, Machine, SdetConfig, Throughput};
 use slopt_core::{layout_from_clusters, Flg, ToolParams};
 use slopt_ir::layout::StructLayout;
 use slopt_ir::types::RecordId;
@@ -97,57 +95,6 @@ pub fn search_for_obs(
     };
     let outcome = search_layout(&flg, kernel.record_type(rec), &params, portfolio, jobs, obs);
     StructSearch { rec, flg, outcome }
-}
-
-/// One simulator-validated candidate.
-#[derive(Debug)]
-pub struct ValidatedCandidate {
-    /// The chain result the candidate came from.
-    pub candidate: ChainResult,
-    /// Its concrete layout.
-    pub layout: StructLayout,
-    /// Measured workload throughput with that layout swapped in.
-    pub throughput: Throughput,
-}
-
-/// Simulator validation of a search outcome: materializes the top-`k`
-/// distinct candidates (by FLG objective), measures each in simulated
-/// cycles with the candidate layout swapped into the baseline table,
-/// and returns them in objective order plus the index of the measured
-/// winner (highest mean throughput, ties to the better objective).
-///
-/// Deterministic for every `jobs` value: candidate order comes from the
-/// portfolio's deterministic reduction and [`measure`] is
-/// jobs-invariant.
-#[allow(clippy::too_many_arguments)]
-pub fn validate_top_k(
-    kernel: &(impl WorkloadSpec + Sync),
-    search: &StructSearch,
-    tool: ToolParams,
-    machine: &Machine,
-    sdet: &SdetConfig,
-    k: usize,
-    runs: usize,
-    jobs: usize,
-) -> (Vec<ValidatedCandidate>, usize) {
-    let mut validated = Vec::new();
-    for c in search.outcome.top_k(k) {
-        let layout = search.layout_of(kernel, c, tool);
-        let table = layouts_with(kernel, sdet.line_size, search.rec, layout.clone());
-        let throughput = measure(kernel, &table, machine, sdet, runs, jobs);
-        validated.push(ValidatedCandidate {
-            candidate: c.clone(),
-            layout,
-            throughput,
-        });
-    }
-    let mut best = 0usize;
-    for (i, v) in validated.iter().enumerate() {
-        if v.throughput.mean > validated[best].throughput.mean {
-            best = i;
-        }
-    }
-    (validated, best)
 }
 
 #[cfg(test)]

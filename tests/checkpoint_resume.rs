@@ -3,7 +3,7 @@
 //! including a torn final log line from dying mid-append — and then
 //! resumed must produce a figure bit-identical to an uninterrupted run,
 //! emit a deterministic trace (modulo timestamps), and refuse to resume
-//! an experiment whose analysis drifted.
+//! an experiment whose analysis drifted to different layouts.
 
 use slopt::obs::json::{parse, Json};
 use slopt::obs::replay::replay_str;
@@ -216,15 +216,25 @@ fn resume_refuses_a_drifted_analysis() {
     run_figure(&kernel, &sdet, &layouts, Some(&spec), 2, &Obs::disabled()).unwrap();
 
     // Re-deriving the layouts under a different measurement machine
-    // changes the concurrency map: the snapshot guard must refuse.
+    // changes the tool layouts the figure measures: the checkpoint
+    // header fingerprints every cell's layout table, so it must refuse.
     let drifted_cfg = AnalysisConfig {
         machine: Machine::superdome(4),
         ..Default::default()
     };
     let drifted = compute_paper_layouts_jobs(&kernel, &sdet, &drifted_cfg, Default::default(), 1);
+    let tool_layouts = |l: &PaperLayouts| -> Vec<_> {
+        kernel
+            .records
+            .all()
+            .iter()
+            .map(|&(_, rec)| l.layout(rec, LayoutKind::Tool).clone())
+            .collect()
+    };
     assert_ne!(
-        drifted.analysis.concurrency, layouts.analysis.concurrency,
-        "precondition: the drifted analysis must actually differ"
+        tool_layouts(&drifted),
+        tool_layouts(&layouts),
+        "precondition: the drifted tool tables must actually differ"
     );
     let resume = CheckpointSpec {
         dir: dir.clone(),
@@ -233,8 +243,8 @@ fn resume_refuses_a_drifted_analysis() {
     let err = run_figure(&kernel, &sdet, &drifted, Some(&resume), 2, &Obs::disabled()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(
-        err.to_string().contains("differs"),
-        "error must explain the drift: {err}"
+        err.to_string().contains("header mismatch"),
+        "error must name the mismatch: {err}"
     );
 
     // The original analysis still resumes fine.
