@@ -112,6 +112,17 @@ echo "== trace lint (fig9 --trace-out round-trip) =="
 TRACE_TMP="$(mktemp /tmp/slopt_trace.XXXXXX.jsonl)"
 cargo run --release --offline -p slopt-bench --bin fig9 -- --jobs 1 --trace-out "$TRACE_TMP" > /dev/null
 cargo run --release --offline -p slopt-obs --bin trace_lint -- "$TRACE_TMP"
+# A trace that could not be written is an internal failure: exit 1.
+if [ -e /dev/full ]; then
+    set +e
+    ./target/release/fig9 --jobs 1 --trace-out /dev/full > /dev/null 2>&1
+    code=$?
+    set -e
+    if [ "$code" -ne 1 ]; then
+        echo "fig9 --trace-out /dev/full: expected exit 1 (trace write failed), got $code"
+        exit 1
+    fi
+fi
 
 echo "== trace_diff determinism gate (two same-seed serial fig9 runs) =="
 # Everything deterministic in the trace — span counts, counters, workload
@@ -189,9 +200,18 @@ echo "== figures golden (slopt-tool figures --jobs 2, byte for byte) =="
 # The benchmark digests this output but only warns on a change; this
 # step fails instead. A deliberate change regenerates the golden.
 FIGURES_TMP="$(mktemp /tmp/slopt_figures.XXXXXX.txt)"
-./target/release/slopt-tool figures --jobs 2 > "$FIGURES_TMP" 2> /dev/null
+FIGURES_J2_STATS_TMP="$(mktemp /tmp/slopt_figures_j2_stats.XXXXXX.txt)"
+./target/release/slopt-tool figures --jobs 2 --stats > "$FIGURES_J2_STATS_TMP" 2> /dev/null
+sed '/^=== run stats ===$/,$d' "$FIGURES_J2_STATS_TMP" > "$FIGURES_TMP"
 cmp tests/data/figures_jobs2.golden.txt "$FIGURES_TMP" \
     || { echo "slopt-tool figures drifted from its golden"; exit 1; }
+# A worker's utilization is its share of one grid's wall time: a ratio.
+grep -Eq '^ *runner\.worker[0-9]+\.utilization ' "$FIGURES_J2_STATS_TMP" \
+    || { echo "slopt-tool figures --stats: no worker utilization gauges"; exit 1; }
+awk '$1 ~ /^runner\.worker[0-9]+\.utilization$/ && $2 > 1 { print; bad = 1 } END { exit bad }' \
+    "$FIGURES_J2_STATS_TMP" \
+    || { echo "slopt-tool figures --stats: a worker utilization above 1"; exit 1; }
+rm -f "$FIGURES_J2_STATS_TMP"
 # The serial run must print the same bytes: the run memo (each distinct
 # simulation runs once per process) may not depend on --jobs. Its
 # counters pin the grid: 238 items, 175 distinct runs, 63 reused.

@@ -16,8 +16,7 @@
 use std::collections::HashSet;
 
 use slopt_core::{
-    clustering_score, suggest_constrained, suggest_layout, FlgParams, RefineParams, SubgraphParams,
-    ToolParams,
+    clustering_score, suggest_constrained, suggest_layout, FlgParams, SubgraphParams, ToolParams,
 };
 use slopt_ir::affinity::{AffinityGraph, AffinityMode};
 use slopt_ir::inline::InlineParams;
@@ -618,7 +617,7 @@ fn refine(ctx: &ExecCtx, setup: &FigureSetup) -> Result<(), GridError> {
     let analysis = analyze_obs(kernel, &setup.sdet, &setup.analysis, &ctx.obs);
     let machine = Machine::superdome(128);
     let refined_params = ToolParams {
-        refine: Some(RefineParams::default()),
+        refine: true,
         ..setup.tool
     };
 

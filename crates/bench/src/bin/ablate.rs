@@ -38,5 +38,5 @@ fn main() {
             e.exit(&ctx);
         }
     }
-    ctx.finish();
+    ctx.finish_or_exit();
 }

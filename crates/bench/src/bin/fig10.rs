@@ -29,5 +29,5 @@ fn main() {
         println!("  {letter}: {kind} ({pct:+.2}%)");
     }
 
-    ctx.finish();
+    ctx.finish_or_exit();
 }

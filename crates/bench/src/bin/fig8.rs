@@ -32,5 +32,5 @@ fn main() {
          (paper: ~-5% vs worse than -50%)"
     );
 
-    ctx.finish();
+    ctx.finish_or_exit();
 }

@@ -21,5 +21,5 @@ fn main() {
     );
     let (ctx, _) = figure_main(&args, "fig9");
 
-    ctx.finish();
+    ctx.finish_or_exit();
 }

@@ -206,5 +206,5 @@ fn main() {
         stress_recs.len()
     );
 
-    ctx.finish();
+    ctx.finish_or_exit();
 }

@@ -38,6 +38,7 @@ use slopt_workload::{
 
 use crate::checkpoint::{fingerprint, Checkpoint, CheckpointSpec};
 use crate::memo::{self, RunMemo, RunSummary};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -182,15 +183,30 @@ impl ExecCtx {
     }
 
     /// Flushes the trace sink and, under `stats`, prints the aggregate
-    /// summary table. Call once at the end of `main`.
-    pub fn finish(&self) {
+    /// summary table. Call once at the end of `main`. Returns the trace
+    /// sink's first write error: a trace that could not be written is an
+    /// internal failure ([`exit::FAILURE`]), not a success.
+    pub fn finish(&self) -> std::io::Result<()> {
         self.obs.finish();
         if self.stats && self.obs.enabled() {
             println!("=== run stats ===");
             print!("{}", self.obs.summary());
         }
+        if let Some(e) = self.obs.take_error() {
+            return Err(e);
+        }
         if let Some(path) = &self.trace_out {
             eprintln!("[runner] trace written to {path}");
+        }
+        Ok(())
+    }
+
+    /// [`finish`](Self::finish) as a binary's last step: a trace that
+    /// could not be written is reported and exits [`exit::FAILURE`].
+    pub fn finish_or_exit(&self) {
+        if let Err(e) = self.finish() {
+            eprintln!("error: trace write failed: {e}");
+            std::process::exit(i32::from(exit::FAILURE));
         }
     }
 }
@@ -420,6 +436,13 @@ pub fn measure_cells(
         pending.len(),
         ctx.jobs.max(1).min(pending.len().max(1))
     );
+    // Each thread's `measure_cell` time before this grid: the utilization
+    // gauges below count this grid's share of it only.
+    let cell_ns_before: HashMap<u64, u64> = obs
+        .summary()
+        .span_rows("measure_cell")
+        .map(|row| (row.tid, row.total_ns))
+        .collect();
     let t0 = std::time::Instant::now();
     let (memo_hits, memo_runs) = (AtomicU64::new(0), AtomicU64::new(0));
     // One grid item's simulation.
@@ -484,10 +507,13 @@ pub fn measure_cells(
         if wall_ns > 0 {
             let summary = obs.summary();
             for row in summary.span_rows("measure_cell") {
-                obs.gauge(
-                    &format!("runner.worker{}.utilization", row.tid),
-                    row.total_ns as f64 / wall_ns as f64,
-                );
+                let before = cell_ns_before.get(&row.tid).copied().unwrap_or(0);
+                if row.total_ns > before {
+                    obs.gauge(
+                        &format!("runner.worker{}.utilization", row.tid),
+                        (row.total_ns - before) as f64 / wall_ns as f64,
+                    );
+                }
             }
         }
     }
@@ -612,12 +638,15 @@ impl GridError {
     }
 
     /// The binaries' one terminal failure step: reports an I/O error,
-    /// flushes the context and exits with [`GridError::exit_code`].
+    /// flushes the context and exits with [`GridError::exit_code`] (a
+    /// trace write failure is reported too, but the grid's code stands).
     pub fn exit(&self, ctx: &ExecCtx) -> ! {
         if let GridError::Io(e) = self {
             eprintln!("error: {e}");
         }
-        ctx.finish();
+        if let Err(e) = ctx.finish() {
+            eprintln!("error: trace write failed: {e}");
+        }
         std::process::exit(i32::from(self.exit_code()))
     }
 }
@@ -1072,6 +1101,31 @@ mod tests {
             again.iter().map(run_bits).collect::<Vec<_>>()
         );
         assert_eq!(memo_counts(&obs), (8, 24));
+    }
+
+    #[test]
+    fn worker_utilization_is_a_ratio_on_every_grid() {
+        let (kernel, cells) = alternating_cells(4);
+        let sink = slopt_obs::MemorySink::new();
+        let events = sink.events();
+        let ctx = ExecCtx::bare(2).with_obs(slopt_obs::Obs::with_sink(Box::new(sink)));
+        // The second grid is all memo hits: a near-zero wall time that
+        // must not be set against the first grid's simulation time.
+        for _ in 0..2 {
+            measure_cells(&ctx, "util", &kernel, &cells, 3).expect("no I/O");
+        }
+        assert_eq!(memo_counts(&ctx.obs), (8, 24));
+        let gauges: Vec<f64> = events
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|e| e.name.ends_with(".utilization"))
+            .filter_map(|e| e.value)
+            .collect();
+        assert!(!gauges.is_empty(), "every grid reports its workers");
+        for g in gauges {
+            assert!((0.0..=1.0).contains(&g), "utilization {g} is not a ratio");
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! [`slopt_bench::FLAG_REFERENCE`] / [`slopt_bench::EXIT_CODE_TABLE`]
 //! constants, and this suite diffs the live output of every binary
 //! against them — plus the exit-code contract for malformed values
-//! (always 2, with a positional `arg N:` message).
+//! (always 2, with a positional `arg N:` message) and for a trace that
+//! could not be written (1).
 
 use slopt_bench::{EXIT_CODE_TABLE, FLAG_REFERENCE};
 use std::process::{Command, Output};
@@ -182,4 +183,21 @@ fn malformed_extra_values_exit_2_with_positional_messages() {
         err.contains("arg 2: ") && err.contains("many"),
         "stderr must carry a positional message naming `many`; got: {err}"
     );
+}
+
+/// A trace that could not be written is exit 1 (the table's "trace
+/// sink" failure), and the run never claims it was written.
+#[test]
+fn an_unwritable_trace_exits_1() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let out = run(
+        env!("CARGO_BIN_EXE_fig9"),
+        &["--jobs", "1", "--trace-out", "/dev/full"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("trace write failed"), "{stderr}");
+    assert!(!stderr.contains("trace written"), "{stderr}");
 }

@@ -243,8 +243,7 @@ pub fn advise(args: &[String]) -> Result<(), CliError> {
             advise_on(&k, kernel_records(&k), wanted, &analysis_cfg, out, &ctx)?;
         }
     }
-    ctx.finish();
-    Ok(())
+    finish(&ctx)
 }
 
 /// `--struct NAME`; the built-in kernel's struct letters match
@@ -348,15 +347,23 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
             s.class_for(rec, AccessClass::UpgradeHit).count,
         );
     }
-    ctx.finish();
-    Ok(())
+    finish(&ctx)
+}
+
+/// Flushes the context as a command's last step: a trace that could not
+/// be written fails the command with [`exit::FAILURE`].
+fn finish(ctx: &ExecCtx) -> Result<(), CliError> {
+    ctx.finish()
+        .map_err(|e| CliError::failure(format!("trace write failed: {e}")))
 }
 
 /// A grid that produced no complete result, as the command's error:
 /// flushes the context, keeps the grid's exit code (1 on checkpoint I/O,
 /// 4 on a holed grid).
 fn grid_failed(ctx: &ExecCtx, what: &str, e: GridError) -> CliError {
-    ctx.finish();
+    if let Err(t) = ctx.finish() {
+        eprintln!("slopt-tool: trace write failed: {t}");
+    }
     CliError {
         message: format!("{what}: {e}"),
         code: e.exit_code(),
@@ -386,8 +393,7 @@ pub fn figures(args: &[String]) -> Result<(), CliError> {
     let base = measure_complete(&ctx, "sanity", kernel, &[cell], setup.runs)
         .map_err(|e| grid_failed(&ctx, "baseline sanity", e))?;
     println!("(baseline sanity: {:.1} scripts/Mcycle)", base[0].mean);
-    ctx.finish();
-    Ok(())
+    finish(&ctx)
 }
 
 /// `slopt-tool search`: run the annealing portfolio against the greedy
@@ -452,8 +458,7 @@ pub fn search(args: &[String]) -> Result<(), CliError> {
         search_table(&ctx, &k, kernel_records(&k), wanted, &analysis_cfg, &cfg)?
     };
     println!("search: strictly better objective than greedy on {better}/{total} structs");
-    ctx.finish();
-    Ok(())
+    finish(&ctx)
 }
 
 /// Measures one workload and prints the greedy-vs-search table over
@@ -578,8 +583,8 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
             "unknown serve action `{other}` (health | advise | metrics | drain | ingest)"
         ))),
     };
-    ctx.finish();
-    result
+    let finished = finish(&ctx);
+    result.and(finished)
 }
 
 /// Resolves the daemon address: `--addr` wins, else `--state-dir`'s

@@ -64,34 +64,13 @@ impl Clustering {
     }
 }
 
-/// Bytes a cluster occupies when its fields are packed in order under C
-/// alignment rules (starting at a cache-line boundary).
-fn cluster_bytes(record: &RecordType, members: &[FieldIdx]) -> u64 {
-    let mut cursor = 0u64;
-    for &f in members {
-        let def = record.field(f);
-        let a = def.align();
-        cursor = (cursor + a - 1) & !(a - 1);
-        cursor += def.size();
-    }
-    cursor
-}
-
-/// Cache lines a cluster needs. (The hot path inlines this via the
-/// incremental form in `find_best_match`; kept for tests.)
-#[cfg(test)]
-fn cluster_lines(record: &RecordType, members: &[FieldIdx], line_size: u64) -> u64 {
-    cluster_bytes(record, members).div_ceil(line_size).max(1)
-}
-
 /// `find_best_match` (paper Fig. 7): the unassigned field with the largest
 /// positive total edge weight into the cluster, among those that do not
 /// grow the cluster's line count.
 ///
 /// The fit test is O(1) per candidate: because fields are packed in order,
-/// appending `f` to the cluster yields exactly
-/// `align(cluster_bytes(cluster), align(f)) + size(f)` bytes — no need to
-/// re-pack the extended cluster.
+/// appending `f` to the cluster packs `f` after the cluster's bytes — no
+/// need to re-pack the extended cluster.
 fn find_best_match<V: FlgView>(
     flg: &V,
     record: &RecordType,
@@ -99,14 +78,12 @@ fn find_best_match<V: FlgView>(
     unassigned: &[FieldIdx],
     line_size: u64,
 ) -> Option<FieldIdx> {
-    let current_bytes = cluster_bytes(record, cluster);
+    let current_bytes = record.packed_bytes(0, cluster.iter().copied());
     let current_lines = current_bytes.div_ceil(line_size).max(1);
     let mut best: Option<FieldIdx> = None;
     let mut best_weight = 0.0f64;
     for &f in unassigned {
-        let def = record.field(f);
-        let a = def.align();
-        let extended_bytes = ((current_bytes + a - 1) & !(a - 1)) + def.size();
+        let extended_bytes = record.packed_bytes(current_bytes, [f]);
         if extended_bytes.div_ceil(line_size).max(1) > current_lines {
             continue;
         }
@@ -350,19 +327,5 @@ mod tests {
             cluster(&dense, &rec, 128, &slopt_obs::Obs::disabled()),
             cluster(&reference, &rec, 128, &slopt_obs::Obs::disabled())
         );
-    }
-
-    #[test]
-    fn cluster_bytes_respects_alignment() {
-        let rec = RecordType::new(
-            "S",
-            vec![
-                ("a", FieldType::Prim(PrimType::U8)),
-                ("b", FieldType::Prim(PrimType::U64)),
-            ],
-        );
-        assert_eq!(cluster_bytes(&rec, &[FieldIdx(0), FieldIdx(1)]), 16);
-        assert_eq!(cluster_bytes(&rec, &[FieldIdx(1), FieldIdx(0)]), 9);
-        assert_eq!(cluster_lines(&rec, &[FieldIdx(0), FieldIdx(1)], 128), 1);
     }
 }

@@ -2,19 +2,19 @@
 //!
 //! The stochastic layout search (`slopt-search`) proposes thousands of
 //! small edits to a clustering per chain. Rescoring each candidate with
-//! [`clustering_score`](crate::refine::clustering_score) costs a pass
-//! over every intra-cluster pair; [`DeltaObjective`] instead scores a
-//! proposed [`Move`] in O(cluster degree) against the triangular
-//! [`FlgView`] weights, and keeps a tracked score that is **bit-identical
-//! to the full recompute** after every accepted edit.
+//! [`clustering_score`] costs a pass over every intra-cluster pair;
+//! [`DeltaObjective`] instead scores a proposed [`Move`] in O(cluster
+//! degree) against the triangular [`FlgView`] weights, and keeps a
+//! tracked score that is **bit-identical to the full recompute** after
+//! every accepted edit.
 //!
 //! Bit-identity argument (f64 addition is not associative, so order is
 //! everything):
 //!
 //! * each cluster's intra-weight is only ever produced by
-//!   [`canonical_cluster_sum`], the verbatim inner loop of
-//!   `clustering_score` — when an edit touches a cluster, that cluster's
-//!   sum is recomputed in canonical order rather than adjusted in place;
+//!   [`canonical_cluster_sum`], the inner loop of `clustering_score` —
+//!   when an edit touches a cluster, that cluster's sum is recomputed in
+//!   canonical order rather than adjusted in place;
 //! * the total is the same left fold (`0.0 + s₀ + s₁ + …`) over the
 //!   per-cluster sums, in cluster order, that `clustering_score`'s
 //!   `.map(..).sum()` performs.
@@ -34,7 +34,12 @@
 //! lines would score pairs that cannot physically share a line.
 //! Appends reuse the O(1) incremental fit check of `find_best_match` —
 //! packed cluster bytes are cached, so extending a cluster by one field
-//! is `align(bytes, align(f)) + size(f)` with no re-pack.
+//! packs it after the cached bytes
+//! ([`RecordType::packed_bytes`]) with no re-pack.
+//!
+//! [`DeltaObjective::polish`] is the one steepest-ascent local search:
+//! [`refine`](crate::refine::refine) is a polish of the greedy
+//! clustering, and every `slopt-search` chain ends with one.
 
 use crate::cluster::Clustering;
 use crate::flg::FlgView;
@@ -83,11 +88,10 @@ pub enum Move {
     },
 }
 
-/// The exact inner loop of
-/// [`clustering_score`](crate::refine::clustering_score) for one
-/// cluster: pairs in `(i, j > i)` order, left-folded from `0.0`. Every
-/// per-cluster sum in this module comes from here, which is what makes
-/// the tracked total bit-identical to a full recompute.
+/// The inner loop of [`clustering_score`] for one cluster: pairs in
+/// `(i, j > i)` order, left-folded from `0.0`. Every per-cluster sum in
+/// this module comes from here, which is what makes the tracked total
+/// bit-identical to a full recompute.
 pub fn canonical_cluster_sum<V: FlgView>(flg: &V, c: &[FieldIdx]) -> f64 {
     let mut w = 0.0;
     for (i, &a) in c.iter().enumerate() {
@@ -98,10 +102,11 @@ pub fn canonical_cluster_sum<V: FlgView>(flg: &V, c: &[FieldIdx]) -> f64 {
     w
 }
 
-/// [`clustering_score`](crate::refine::clustering_score) generalized to
-/// any [`FlgView`]: same per-cluster loop, same left fold over clusters,
-/// hence bit-identical to the concrete-`Flg` scorer on the same input.
-pub fn clustering_score_with<V: FlgView>(flg: &V, clustering: &Clustering) -> f64 {
+/// Total intra-cluster edge weight — the clustering objective (inter-
+/// cluster weight is its complement, so maximizing one minimizes the
+/// other): the left fold of each cluster's [`canonical_cluster_sum`] in
+/// cluster order.
+pub fn clustering_score<V: FlgView>(flg: &V, clustering: &Clustering) -> f64 {
     clustering
         .clusters()
         .iter()
@@ -109,24 +114,14 @@ pub fn clustering_score_with<V: FlgView>(flg: &V, clustering: &Clustering) -> f6
         .sum()
 }
 
-/// Bytes a cluster occupies when its fields are packed in order under C
-/// alignment rules, starting at a cache-line boundary.
-fn packed_bytes(record: &RecordType, members: &[FieldIdx]) -> u64 {
-    let mut cursor = 0u64;
-    for &f in members {
-        let def = record.field(f);
-        let a = def.align();
-        cursor = (cursor + a - 1) & !(a - 1);
-        cursor += def.size();
-    }
-    cursor
-}
+/// Cap on the moves one [`DeltaObjective::polish`] accepts (a safety
+/// bound; the ascent converges long before).
+const MAX_POLISH_MOVES: usize = 10_000;
 
 /// Incremental evaluator of the clustering objective over one record's
 /// FLG: scores a [`Move`] in O(cluster degree), applies accepted moves,
 /// and tracks a score that stays f64-bit-identical to
-/// [`clustering_score`](crate::refine::clustering_score) on the current
-/// cluster list.
+/// [`clustering_score`] on the current cluster list.
 ///
 /// ```
 /// use slopt_core::delta::{DeltaObjective, Move};
@@ -213,7 +208,10 @@ impl<'a, V: FlgView> DeltaObjective<'a, V> {
             .iter()
             .map(|c| canonical_cluster_sum(flg, c))
             .collect();
-        let bytes = clusters.iter().map(|c| packed_bytes(record, c)).collect();
+        let bytes = clusters
+            .iter()
+            .map(|c| record.packed_bytes(0, c.iter().copied()))
+            .collect();
         DeltaObjective {
             flg,
             record,
@@ -273,20 +271,14 @@ impl<'a, V: FlgView> DeltaObjective<'a, V> {
     /// occupying `bytes` keeps its line count. Empty clusters accept any
     /// field (they are fresh singletons).
     fn append_fits(&self, bytes: u64, empty: bool, f: FieldIdx) -> bool {
-        if empty {
-            return true;
-        }
-        let def = self.record.field(f);
-        let a = def.align();
-        let extended = ((bytes + a - 1) & !(a - 1)) + def.size();
-        self.lines(extended) <= self.lines(bytes)
+        empty || self.lines(self.record.packed_bytes(bytes, [f])) <= self.lines(bytes)
     }
 
     /// Scores a proposed move in O(cluster degree): `Some(estimate)` of
     /// the objective change if the move is feasible (capacity-safe and
     /// not a no-op), `None` otherwise. The estimate is ordinary f64
-    /// arithmetic — callers needing the exact new score [`apply`] the
-    /// move and read [`score`](Self::score).
+    /// arithmetic — callers needing the exact new score
+    /// [`apply`](Self::apply) the move and read [`score`](Self::score).
     pub fn score_move(&self, m: Move) -> Option<f64> {
         match m {
             Move::MoveField { field, dst } => {
@@ -316,21 +308,17 @@ impl<'a, V: FlgView> DeltaObjective<'a, V> {
                 if ca == cb {
                     // Intra-cluster permutation: repack with the two
                     // positions exchanged; the objective is unchanged.
-                    let mut cursor = 0u64;
-                    for &f in &self.clusters[ca] {
-                        let g = if f == a {
+                    let swapped = self.clusters[ca].iter().map(|&f| {
+                        if f == a {
                             b
                         } else if f == b {
                             a
                         } else {
                             f
-                        };
-                        let def = self.record.field(g);
-                        let al = def.align();
-                        cursor = (cursor + al - 1) & !(al - 1);
-                        cursor += def.size();
-                    }
-                    if self.lines(cursor) > self.lines(self.bytes[ca]) {
+                        }
+                    });
+                    let repacked = self.record.packed_bytes(0, swapped);
+                    if self.lines(repacked) > self.lines(self.bytes[ca]) {
                         return None;
                     }
                     return Some(0.0);
@@ -373,14 +361,10 @@ impl<'a, V: FlgView> DeltaObjective<'a, V> {
                 }
                 // Packing continues from the destination's cached bytes,
                 // so the union's size is an O(|src|) extension.
-                let mut cursor = self.bytes[dst];
-                for &f in &self.clusters[src] {
-                    let def = self.record.field(f);
-                    let a = def.align();
-                    cursor = (cursor + a - 1) & !(a - 1);
-                    cursor += def.size();
-                }
-                if self.lines(cursor) > self.lines(self.bytes[dst]) {
+                let union = self
+                    .record
+                    .packed_bytes(self.bytes[dst], self.clusters[src].iter().copied());
+                if self.lines(union) > self.lines(self.bytes[dst]) {
                     return None;
                 }
                 let mut joined = 0.0;
@@ -397,22 +381,19 @@ impl<'a, V: FlgView> DeltaObjective<'a, V> {
     /// Whether replacing `out` (a member of cluster `c`) with `in_` at
     /// the same position keeps the cluster's line count.
     fn replace_fits(&self, c: usize, out: FieldIdx, in_: FieldIdx) -> bool {
-        let members = &self.clusters[c];
-        let mut cursor = 0u64;
-        for &f in members {
-            let def = self.record.field(if f == out { in_ } else { f });
-            let a = def.align();
-            cursor = (cursor + a - 1) & !(a - 1);
-            cursor += def.size();
-        }
-        self.lines(cursor) <= self.lines(self.bytes[c])
+        let replaced = self.clusters[c]
+            .iter()
+            .map(|&f| if f == out { in_ } else { f });
+        self.lines(self.record.packed_bytes(0, replaced)) <= self.lines(self.bytes[c])
     }
 
     /// Recomputes the cached sum and byte size of one cluster in
     /// canonical order.
     fn refresh(&mut self, c: usize) {
         self.sums[c] = canonical_cluster_sum(self.flg, &self.clusters[c]);
-        self.bytes[c] = packed_bytes(self.record, &self.clusters[c]);
+        self.bytes[c] = self
+            .record
+            .packed_bytes(0, self.clusters[c].iter().copied());
     }
 
     /// Applies a move. Touched clusters' cached sums are recomputed in
@@ -504,6 +485,33 @@ impl<'a, V: FlgView> DeltaObjective<'a, V> {
             }
         }
     }
+
+    /// Steepest-ascent local search over single-field moves: applies the
+    /// best improving [`Move::MoveField`] (gain above `1e-9`; ties go to
+    /// the lowest field, then the lowest destination) until no move
+    /// improves or the move cap is reached. Returns the accepted move
+    /// count. The tracked score never falls.
+    pub fn polish(&mut self) -> u64 {
+        let n = self.of.len() as u32;
+        let mut accepted = 0u64;
+        while (accepted as usize) < MAX_POLISH_MOVES {
+            let mut best: Option<(Move, f64)> = None;
+            for f in (0..n).map(FieldIdx) {
+                for dst in 0..=self.cluster_count() {
+                    let m = Move::MoveField { field: f, dst };
+                    if let Some(gain) = self.score_move(m) {
+                        if gain > 1e-9 && best.is_none_or(|(_, g)| gain > g) {
+                            best = Some((m, gain));
+                        }
+                    }
+                }
+            }
+            let Some((m, _)) = best else { break };
+            self.apply(m);
+            accepted += 1;
+        }
+        accepted
+    }
 }
 
 #[cfg(test)]
@@ -511,7 +519,6 @@ mod tests {
     use super::*;
     use crate::cluster::cluster;
     use crate::flg::Flg;
-    use crate::refine::clustering_score;
     use slopt_ir::types::{FieldType, PrimType, RecordId};
 
     fn record_u64(n: usize) -> RecordType {
@@ -658,16 +665,5 @@ mod tests {
         assert_eq!(d.cluster_count(), 3, "empty slot reused");
         assert_eq!(d.cluster_of(FieldIdx(3)), 1);
         assert_tracks(&d, &flg);
-    }
-
-    #[test]
-    fn generic_scorer_matches_concrete_on_flg() {
-        let (flg, rec) = fixture();
-        let greedy = cluster(&flg, &rec, 128, &slopt_obs::Obs::disabled());
-        assert_eq!(
-            clustering_score(&flg, &greedy).to_bits(),
-            clustering_score_with(&flg, &greedy).to_bits()
-        );
-        let _ = rec;
     }
 }

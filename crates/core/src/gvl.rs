@@ -15,6 +15,7 @@
 //! record layout.
 
 use slopt_ir::interp::SplitMix64;
+use slopt_ir::layout::align_up;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -143,10 +144,6 @@ impl SectionLayout {
         );
         a0 <= b1 && b0 <= a1
     }
-}
-
-fn align_up(x: u64, a: u64) -> u64 {
-    (x + a - 1) & !(a - 1)
 }
 
 /// Lays out the globals: greedy clustering (hotness-seeded, positive-gain

@@ -1,7 +1,5 @@
 //! Baseline layout heuristics the paper compares against.
 //!
-//! * [`declaration_layout`] — the record's original (hand-tuned, in the
-//!   HP-UX case) field order.
 //! * [`sort_by_hotness`] — the paper's §5.1 "simple heuristic": group
 //!   fields by alignment requirement, sort each group by hotness, emit
 //!   groups in descending-alignment order. Highly packed, hot fields
@@ -13,18 +11,6 @@
 use slopt_ir::interp::SplitMix64;
 use slopt_ir::layout::{LayoutError, StructLayout};
 use slopt_ir::types::{FieldIdx, RecordType};
-
-/// The record's declaration-order layout.
-///
-/// # Errors
-///
-/// Returns an error if `line_size` is invalid.
-pub fn declaration_layout(
-    record: &RecordType,
-    line_size: u64,
-) -> Result<StructLayout, LayoutError> {
-    StructLayout::declaration_order(record, line_size)
-}
 
 /// The paper's naïve sort-by-hotness heuristic. `hotness[i]` is the
 /// hotness of field `i`.
@@ -92,13 +78,6 @@ mod tests {
                 ("e1", FieldType::Prim(PrimType::U8)),  // f4
             ],
         )
-    }
-
-    #[test]
-    fn declaration_layout_is_identity() {
-        let rec = mixed_record();
-        let l = declaration_layout(&rec, 128).unwrap();
-        assert_eq!(l.order(), &(0..5u32).map(FieldIdx).collect::<Vec<_>>()[..]);
     }
 
     #[test]

@@ -9,14 +9,21 @@
 //! * [`mod@cluster`] — the paper's greedy clustering (Figs. 6–7): grow
 //!   cache-line-sized clusters around hot seeds, maximizing intra-cluster
 //!   weight.
+//! * [`delta`] — the clustering objective ([`clustering_score`]) and its
+//!   incremental evaluator [`DeltaObjective`], whose
+//!   [`polish`](DeltaObjective::polish) is the one steepest-ascent local
+//!   search.
+//! * [`mod@refine`] — the §7 refinement: a polish of the greedy
+//!   clustering, optional via [`ToolParams::refine`].
 //! * [`layoutgen`] — materialize clusters as a concrete layout with each
 //!   cluster on its own cache line(s).
-//! * [`heuristics`] — the baselines: declaration order, the naïve
-//!   **sort-by-hotness** packing of §5.1, and random layouts.
+//! * [`heuristics`] — the baselines: the naïve **sort-by-hotness**
+//!   packing of §5.1, and random layouts.
 //! * [`subgraph`] — the §5.2 "best performance" mode: keep only important
 //!   edges (all negative + top-20 positive), cluster that subgraph, and
 //!   apply the result as constraints on the original hand-tuned layout.
 //! * [`report`] — the advisory output of the semi-automatic tool.
+//! * [`gvl`] — the same greedy clustering applied to global variables.
 //! * [`pipeline`] — one-call drivers: [`suggest_layout`] (fully automatic)
 //!   and [`suggest_constrained`] (incremental).
 //!
@@ -62,19 +69,18 @@ pub mod pipeline;
 pub mod refine;
 pub mod report;
 pub mod subgraph;
-pub mod transform;
 
 pub use cluster::{cluster, Clustering};
-pub use delta::{canonical_cluster_sum, clustering_score_with, DeltaObjective, Move};
+pub use delta::{canonical_cluster_sum, clustering_score, DeltaObjective, Move};
 pub use dot::{to_dot, DotOptions};
 pub use flg::{reference::FlgRef, Flg, FlgParams, FlgView};
 pub use gvl::{layout_globals, link_order_layout, Global, GlobalId, GvlProblem, SectionLayout};
-pub use heuristics::{declaration_layout, random_layout, sort_by_hotness};
+pub use heuristics::{random_layout, sort_by_hotness};
 pub use layoutgen::{layout_from_clusters, LayoutOptions};
 pub use pipeline::{
     suggest_constrained, suggest_layout, suggest_layout_all, LayoutRequest, Suggestion, ToolParams,
 };
-pub use refine::{clustering_score, refine, RefineParams};
+pub use refine::refine;
 pub use report::{LayoutReport, ReportEdge};
 pub use slopt_ir::par::{
     default_jobs, par_map, par_map_supervised, par_map_supervised_commit, FailureKind, FaultReport,
@@ -83,4 +89,3 @@ pub use slopt_ir::par::{
 pub use subgraph::{
     best_effort_layout, constrained_layout, important_subgraph, Constraints, SubgraphParams,
 };
-pub use transform::{materialize_split, split_hot_cold, SplitParams, SplitPlan};

@@ -9,7 +9,7 @@
 use crate::cluster::{cluster, Clustering};
 use crate::flg::{Flg, FlgParams};
 use crate::layoutgen::{layout_from_clusters, LayoutOptions};
-use crate::refine::{refine, RefineParams};
+use crate::refine::refine;
 use crate::report::LayoutReport;
 use crate::subgraph::{best_effort_layout, SubgraphParams};
 use slopt_ir::affinity::AffinityGraph;
@@ -26,9 +26,9 @@ pub struct ToolParams {
     pub layout: LayoutOptions,
     /// Importance filter for [`suggest_constrained`].
     pub subgraph: SubgraphParams,
-    /// Optional local-search refinement of the greedy clustering (the
-    /// paper's §7 "better clustering algorithm" future work).
-    pub refine: Option<RefineParams>,
+    /// Refine the greedy clustering by local search (the paper's §7
+    /// "better clustering algorithm" future work).
+    pub refine: bool,
 }
 
 /// The tool's output for one record.
@@ -70,9 +70,9 @@ pub fn suggest_layout(
     let _span = obs.span("suggest_layout");
     let flg = Flg::build(affinity, loss, params.flg, obs);
     let mut clustering = cluster(&flg, record, params.layout.line_size, obs);
-    if let Some(rp) = params.refine {
+    if params.refine {
         let _refine = obs.span("refine");
-        clustering = refine(&flg, record, &clustering, params.layout.line_size, rp).0;
+        clustering = refine(&flg, record, &clustering, params.layout.line_size).0;
     }
     let layout = {
         let _gen = obs.span("layout_gen");
@@ -96,7 +96,7 @@ pub fn suggest_layout(
         // scores keep three decimal digits inside the integer histogram.
         // The score is a pure function of the FLG, so the distribution is
         // identical at any --jobs value.
-        let score = crate::delta::clustering_score_with(&flg, &clustering);
+        let score = crate::delta::clustering_score(&flg, &clustering);
         obs.histogram("flg.objective_milli", (score.max(0.0) * 1e3).round() as u64);
     }
     Ok(Suggestion {

@@ -13,126 +13,30 @@
 //! * **termination**: no improving move, or the move budget is exhausted.
 //!
 //! The result provably never scores below the greedy input, and empty
-//! clusters are dropped.
+//! clusters are dropped. The search is [`DeltaObjective::polish`], the
+//! same ascent that ends every `slopt-search` chain.
 
 use crate::cluster::Clustering;
+use crate::delta::{clustering_score, DeltaObjective};
 use crate::flg::Flg;
-use slopt_ir::types::{FieldIdx, RecordType};
-
-/// Refinement limits.
-#[derive(Copy, Clone, Debug)]
-pub struct RefineParams {
-    /// Maximum number of accepted moves (safety bound; the search usually
-    /// converges long before).
-    pub max_moves: usize,
-}
-
-impl Default for RefineParams {
-    fn default() -> Self {
-        RefineParams { max_moves: 10_000 }
-    }
-}
-
-/// Total intra-cluster edge weight — the clustering objective.
-pub fn clustering_score(flg: &Flg, clustering: &Clustering) -> f64 {
-    clustering
-        .clusters()
-        .iter()
-        .map(|c| {
-            let mut w = 0.0;
-            for (i, &a) in c.iter().enumerate() {
-                for &b in &c[i + 1..] {
-                    w += flg.weight(a, b);
-                }
-            }
-            w
-        })
-        .sum()
-}
-
-fn cluster_bytes(record: &RecordType, members: &[FieldIdx]) -> u64 {
-    let mut cursor = 0u64;
-    for &f in members {
-        let def = record.field(f);
-        let a = def.align();
-        cursor = (cursor + a - 1) & !(a - 1);
-        cursor += def.size();
-    }
-    cursor
-}
-
-fn cluster_lines(record: &RecordType, members: &[FieldIdx], line_size: u64) -> u64 {
-    cluster_bytes(record, members).div_ceil(line_size).max(1)
-}
+use slopt_ir::types::RecordType;
 
 /// Improves a clustering by steepest-ascent single-field moves. Returns
 /// the refined clustering and its score (`>=` the input's score).
 ///
 /// # Panics
 ///
-/// Panics if `line_size` is not a power of two.
+/// Panics if `line_size` is not a power of two, or if the clustering does
+/// not cover every field of the FLG and the record exactly once.
 pub fn refine(
     flg: &Flg,
     record: &RecordType,
     clustering: &Clustering,
     line_size: u64,
-    params: RefineParams,
 ) -> (Clustering, f64) {
-    assert!(
-        line_size.is_power_of_two(),
-        "line size must be a power of two"
-    );
-    let mut clusters: Vec<Vec<FieldIdx>> = clustering.clusters().to_vec();
-    let mut moves = 0usize;
-
-    loop {
-        if moves >= params.max_moves {
-            break;
-        }
-        // Find the single best move across all (field, destination) pairs.
-        let mut best: Option<(usize, usize, usize, f64)> = None; // (src, idx, dst, gain)
-        for (src, cluster) in clusters.iter().enumerate() {
-            for (idx, &f) in cluster.iter().enumerate() {
-                let others: Vec<FieldIdx> = cluster.iter().copied().filter(|&g| g != f).collect();
-                let out_gain = -flg.gain_into(f, &others); // lost by leaving
-                for dst in 0..=clusters.len() {
-                    if dst == src {
-                        continue;
-                    }
-                    let in_gain = if dst == clusters.len() {
-                        0.0 // fresh singleton
-                    } else {
-                        // Capacity: moving f into dst must not grow it.
-                        let mut extended = clusters[dst].clone();
-                        extended.push(f);
-                        if cluster_lines(record, &extended, line_size)
-                            > cluster_lines(record, &clusters[dst], line_size)
-                        {
-                            continue;
-                        }
-                        flg.gain_into(f, &clusters[dst])
-                    };
-                    let gain = in_gain + out_gain;
-                    if gain > 1e-9 && best.is_none_or(|b| gain > b.3) {
-                        best = Some((src, idx, dst, gain));
-                    }
-                }
-            }
-        }
-        let Some((src, idx, dst, _)) = best else {
-            break;
-        };
-        let f = clusters[src].remove(idx);
-        if dst == clusters.len() {
-            clusters.push(vec![f]);
-        } else {
-            clusters[dst].push(f);
-        }
-        clusters.retain(|c| !c.is_empty());
-        moves += 1;
-    }
-
-    let refined = Clustering::new(clusters);
+    let mut d = DeltaObjective::new(flg, record, clustering, line_size);
+    d.polish();
+    let refined = d.into_clustering();
     let score = clustering_score(flg, &refined);
     (refined, score)
 }
@@ -141,7 +45,7 @@ pub fn refine(
 mod tests {
     use super::*;
     use crate::cluster::cluster;
-    use slopt_ir::types::{FieldType, PrimType, RecordId};
+    use slopt_ir::types::{FieldIdx, FieldType, PrimType, RecordId};
 
     fn record_u64(n: usize) -> RecordType {
         RecordType::new(
@@ -178,7 +82,7 @@ mod tests {
         assert_eq!(greedy.cluster_of(FieldIdx(2)), Some(0));
         let g_score = clustering_score(&flg, &greedy);
 
-        let (refined, r_score) = refine(&flg, &rec, &greedy, 128, RefineParams::default());
+        let (refined, r_score) = refine(&flg, &rec, &greedy, 128);
         assert!(r_score >= g_score, "refinement never loses score");
         assert!(r_score > g_score, "this instance must strictly improve");
         assert_eq!(
@@ -202,8 +106,8 @@ mod tests {
         );
         let rec = record_u64(4);
         let greedy = cluster(&flg, &rec, 128, &slopt_obs::Obs::disabled());
-        let (once, s1) = refine(&flg, &rec, &greedy, 128, RefineParams::default());
-        let (twice, s2) = refine(&flg, &rec, &once, 128, RefineParams::default());
+        let (once, s1) = refine(&flg, &rec, &greedy, 128);
+        let (twice, s2) = refine(&flg, &rec, &once, 128);
         assert_eq!(s1, s2);
         assert_eq!(once, twice);
     }
@@ -222,34 +126,10 @@ mod tests {
         let flg = Flg::from_parts(RecordId(0), vec![10; n], edges);
         let rec = record_u64(n);
         let greedy = cluster(&flg, &rec, 128, &slopt_obs::Obs::disabled());
-        let (refined, _) = refine(&flg, &rec, &greedy, 128, RefineParams::default());
+        let (refined, _) = refine(&flg, &rec, &greedy, 128);
         for c in refined.clusters() {
             assert!(c.len() <= 16, "cluster exceeds a cache line: {}", c.len());
         }
         assert_eq!(refined.field_count(), n);
-    }
-
-    #[test]
-    fn move_budget_is_honored() {
-        let flg = Flg::from_parts(
-            RecordId(0),
-            vec![10, 9, 8, 7],
-            vec![
-                (FieldIdx(0), FieldIdx(3), 100.0),
-                (FieldIdx(1), FieldIdx(2), 100.0),
-                (FieldIdx(0), FieldIdx(1), -100.0),
-            ],
-        );
-        let rec = record_u64(4);
-        let greedy = cluster(&flg, &rec, 128, &slopt_obs::Obs::disabled());
-        let (_, unlimited) = refine(&flg, &rec, &greedy, 128, RefineParams::default());
-        let (capped, capped_score) =
-            refine(&flg, &rec, &greedy, 128, RefineParams { max_moves: 0 });
-        assert_eq!(
-            capped.clusters(),
-            greedy.clusters(),
-            "zero budget = no change"
-        );
-        assert!(capped_score <= unlimited);
     }
 }

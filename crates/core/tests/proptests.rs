@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use slopt_core::{
-    best_effort_layout, canonical_cluster_sum, cluster, constrained_layout, important_subgraph,
-    Constraints, DeltaObjective, Flg, Move, SubgraphParams,
+    best_effort_layout, canonical_cluster_sum, cluster, clustering_score, constrained_layout,
+    important_subgraph, refine, Constraints, DeltaObjective, Flg, Move, SubgraphParams,
 };
 use slopt_ir::layout::StructLayout;
 use slopt_ir::types::{FieldIdx, FieldType, PrimType, RecordId, RecordType};
@@ -15,6 +15,32 @@ fn record_u64(n: usize) -> RecordType {
         (0..n)
             .map(|i| (format!("f{i}"), FieldType::Prim(PrimType::U64)))
             .collect(),
+    )
+}
+
+/// A record whose field `i` has type `palette[tys[i]]`: mixed sizes and
+/// alignments, none wider than 32 bytes, so any field fits a line of 32
+/// bytes or more.
+fn mixed_record(n: usize, tys: &[usize]) -> RecordType {
+    let palette = [
+        FieldType::Prim(PrimType::U8),
+        FieldType::Prim(PrimType::U16),
+        FieldType::Prim(PrimType::U32),
+        FieldType::Prim(PrimType::U64),
+        FieldType::Array {
+            elem: PrimType::U8,
+            len: 24,
+        },
+        FieldType::Array {
+            elem: PrimType::U16,
+            len: 16,
+        },
+    ];
+    RecordType::new(
+        "R",
+        (0..n)
+            .map(|i| (format!("f{i}"), palette[tys[i]].clone()))
+            .collect::<Vec<_>>(),
     )
 }
 
@@ -145,20 +171,7 @@ proptest! {
     ) {
         let n = flg.field_count();
         let line = 1u64 << line_pow; // 32, 64 or 128
-        let palette = [
-            FieldType::Prim(PrimType::U8),
-            FieldType::Prim(PrimType::U16),
-            FieldType::Prim(PrimType::U32),
-            FieldType::Prim(PrimType::U64),
-            FieldType::Array { elem: PrimType::U8, len: 24 },
-            FieldType::Array { elem: PrimType::U16, len: 16 },
-        ];
-        let rec = RecordType::new(
-            "R",
-            (0..n)
-                .map(|i| (format!("f{i}"), palette[tys[i]].clone()))
-                .collect::<Vec<_>>(),
-        );
+        let rec = mixed_record(n, &tys);
         let start = cluster(&flg, &rec, line, &slopt_obs::Obs::disabled());
         let mut d = DeltaObjective::new(&flg, &rec, &start, line);
         let full = |d: &DeltaObjective<'_, Flg>| -> f64 {
@@ -203,6 +216,46 @@ proptest! {
         // The final state is still a partition of the field set.
         let clustering = d.into_clustering();
         prop_assert_eq!(clustering.field_count(), n);
+    }
+
+    /// Refinement — the polish of the greedy clustering — on mixed-size
+    /// records: it never scores below greedy, it keeps every cluster's
+    /// line count (no field is wider than a line, so greedy packs each
+    /// cluster into one line and so must refinement), and it stops at a
+    /// fixed point: refining again changes nothing, and no single-field
+    /// move from the result improves the objective.
+    #[test]
+    fn refine_improves_greedy_within_capacity_to_a_fixed_point(
+        flg in arb_flg(14),
+        tys in prop::collection::vec(0usize..6, 14),
+        line_pow in 5u32..8,
+    ) {
+        let n = flg.field_count();
+        let line = 1u64 << line_pow; // 32, 64 or 128
+        let rec = mixed_record(n, &tys);
+        let lines = |c: &[FieldIdx]| rec.packed_bytes(0, c.iter().copied()).div_ceil(line);
+        let greedy = cluster(&flg, &rec, line, &slopt_obs::Obs::disabled());
+        let (refined, score) = refine(&flg, &rec, &greedy, line);
+
+        prop_assert!(score >= clustering_score(&flg, &greedy));
+        prop_assert_eq!(score.to_bits(), clustering_score(&flg, &refined).to_bits());
+        prop_assert_eq!(refined.field_count(), n);
+        for c in greedy.clusters().iter().chain(refined.clusters()) {
+            prop_assert_eq!(lines(c), 1, "cluster {:?} spans lines", c);
+        }
+
+        let (again, again_score) = refine(&flg, &rec, &refined, line);
+        prop_assert_eq!(&again, &refined);
+        prop_assert_eq!(again_score.to_bits(), score.to_bits());
+
+        let d = DeltaObjective::new(&flg, &rec, &refined, line);
+        for f in (0..n as u32).map(FieldIdx) {
+            for dst in 0..=d.cluster_count() {
+                if let Some(gain) = d.score_move(Move::MoveField { field: f, dst }) {
+                    prop_assert!(gain <= 1e-9, "moving {} to {} gains {}", f, dst, gain);
+                }
+            }
+        }
     }
 
     /// With no edges at all, the constrained edit is the identity.

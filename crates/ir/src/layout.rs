@@ -51,7 +51,10 @@ impl fmt::Display for LayoutError {
 
 impl Error for LayoutError {}
 
-fn align_up(x: u64, a: u64) -> u64 {
+/// Rounds `x` up to a multiple of `a`, a power of two: the C rule for
+/// placing a field, a record or an allocation at its alignment.
+#[inline]
+pub fn align_up(x: u64, a: u64) -> u64 {
     debug_assert!(a.is_power_of_two());
     (x + a - 1) & !(a - 1)
 }

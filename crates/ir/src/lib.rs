@@ -84,7 +84,7 @@ pub use cfg::{
 };
 pub use fmf::FieldMap;
 pub use inline::{inline_program, InlineParams};
-pub use layout::{LayoutError, StructLayout, DEFAULT_LINE_SIZE};
+pub use layout::{align_up, LayoutError, StructLayout, DEFAULT_LINE_SIZE};
 pub use par::{
     default_jobs, par_map, par_map_supervised, FailureKind, FaultReport, ItemFailure,
     SupervisePolicy, WorkerError,

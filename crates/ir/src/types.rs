@@ -256,6 +256,18 @@ impl RecordType {
     pub fn payload_size(&self) -> u64 {
         self.fields.iter().map(FieldDef::size).sum()
     }
+
+    /// The end offset of `fields` packed in order under C rules after
+    /// `start` bytes: each field aligned up to its own alignment. From
+    /// `start = 0` this is a line-aligned cluster's size; from a
+    /// cluster's size it is that cluster extended by `fields`.
+    #[inline]
+    pub fn packed_bytes(&self, start: u64, fields: impl IntoIterator<Item = FieldIdx>) -> u64 {
+        fields.into_iter().fold(start, |cursor, f| {
+            let def = self.field(f);
+            crate::layout::align_up(cursor, def.align()) + def.size()
+        })
+    }
 }
 
 /// Registry of all record types known to a program.
@@ -379,6 +391,21 @@ mod tests {
         assert_eq!(r.field(FieldIdx(2)).name(), "c");
         let idxs: Vec<_> = r.field_indices().collect();
         assert_eq!(idxs, vec![FieldIdx(0), FieldIdx(1), FieldIdx(2)]);
+    }
+
+    #[test]
+    fn packed_bytes_respects_alignment() {
+        let r = RecordType::new(
+            "S",
+            vec![
+                ("a", FieldType::Prim(PrimType::U8)),
+                ("b", FieldType::Prim(PrimType::U64)),
+            ],
+        );
+        assert_eq!(r.packed_bytes(0, [FieldIdx(0), FieldIdx(1)]), 16);
+        assert_eq!(r.packed_bytes(0, [FieldIdx(1), FieldIdx(0)]), 9);
+        // Continuing from a packed prefix equals packing the whole run.
+        assert_eq!(r.packed_bytes(1, [FieldIdx(1)]), 16);
     }
 
     #[test]

@@ -306,6 +306,20 @@ impl Obs {
         }
     }
 
+    /// The sink's first write error, taken once — `None` when every
+    /// event reached its output (or the handle is disabled). Call after
+    /// [`finish`](Self::finish): a trace that could not be written is the
+    /// run's failure, not a warning.
+    pub fn take_error(&self) -> Option<std::io::Error> {
+        let shared = self.shared.as_ref()?;
+        shared
+            .state
+            .lock()
+            .expect("no thread panics while holding the obs state")
+            .sink
+            .take_error()
+    }
+
     /// Emits one `S` summary event per histogram (span-duration
     /// histograms under `span.<name>`, workload histograms under their
     /// own name), then flushes the sink. Call once at end of run; the
@@ -679,6 +693,20 @@ mod tests {
         assert_eq!(summaries.len(), 2);
         assert_eq!(summaries[0].name, "span.work");
         assert_eq!(summaries[1].name, "vals");
+    }
+
+    #[test]
+    fn a_failed_trace_write_is_taken_once() {
+        let full = std::path::Path::new("/dev/full");
+        if !full.exists() {
+            return;
+        }
+        let obs = Obs::to_trace_file(full).unwrap();
+        obs.counter("c", 1);
+        obs.finish();
+        assert!(obs.take_error().is_some(), "the flush hit a full device");
+        assert!(obs.take_error().is_none(), "taken once");
+        assert!(Obs::aggregating().take_error().is_none());
     }
 
     #[test]

@@ -74,6 +74,12 @@ pub trait ObsSink: Send {
 
     /// Flush any buffered output (end of run).
     fn flush(&mut self) {}
+
+    /// The first output error the sink swallowed, taken once. Sinks
+    /// report write failures here instead of panicking mid-pipeline.
+    fn take_error(&mut self) -> Option<std::io::Error> {
+        None
+    }
 }
 
 /// Discards every event. The disabled-instrumentation default.

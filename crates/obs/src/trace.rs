@@ -44,7 +44,7 @@ fn fmt_ts(ts_us: f64) -> String {
 /// Streams events to a JSONL file as they happen.
 pub struct TraceSink {
     out: BufWriter<File>,
-    /// First write error, reported once at `flush` time instead of
+    /// First write error, kept for [`ObsSink::take_error`] instead of
     /// panicking mid-pipeline.
     error: Option<io::Error>,
 }
@@ -84,11 +84,6 @@ impl TraceSink {
         {
             self.error = Some(e);
         }
-    }
-
-    /// The first write error, if any occurred.
-    pub fn take_error(&mut self) -> Option<io::Error> {
-        self.error.take()
     }
 }
 
@@ -198,9 +193,10 @@ impl ObsSink for TraceSink {
                 self.error = Some(e);
             }
         }
-        if let Some(e) = &self.error {
-            eprintln!("slopt-obs: trace write failed: {e}");
-        }
+    }
+
+    fn take_error(&mut self) -> Option<io::Error> {
+        self.error.take()
     }
 }
 

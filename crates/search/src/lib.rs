@@ -1,7 +1,7 @@
 //! # slopt-search — stochastic layout superoptimization
 //!
 //! The paper's greedy clustering (Figs. 6–7) commits to a single point
-//! in an enormous layout space, and [`slopt_core::refine`] only walks
+//! in an enormous layout space, and [`slopt_core::refine()`] only walks
 //! uphill from there. This crate searches: a portfolio of independently
 //! seeded **Metropolis / simulated-annealing chains** explores
 //! field→cluster assignments and intra-cluster permutations through the
@@ -25,9 +25,8 @@
 //!
 //! The final candidate never scores below the greedy clustering it
 //! starts from: every chain begins at the greedy solution, tracks its
-//! best-seen state, and finishes with a steepest-ascent polish
-//! (the [`refine`](slopt_core::refine) move set, driven through the
-//! delta evaluator).
+//! best-seen state, and finishes with [`DeltaObjective::polish`] — the
+//! same steepest ascent [`refine`](slopt_core::refine()) runs.
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -35,7 +34,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use slopt_core::cluster::{cluster, Clustering};
-use slopt_core::delta::{DeltaObjective, Move};
+use slopt_core::delta::{clustering_score, DeltaObjective, Move};
 use slopt_core::flg::FlgView;
 use slopt_core::{par_map_supervised, FaultReport, SupervisePolicy, WorkerError};
 use slopt_ir::interp::SplitMix64;
@@ -53,8 +52,6 @@ pub struct SearchParams {
     pub t0: f64,
     /// Final temperature, in the same relative units.
     pub t_end: f64,
-    /// Cap on accepted steepest-ascent moves in the final polish.
-    pub polish_moves: usize,
     /// Cache-line size the capacity rule packs against.
     pub line_size: u64,
 }
@@ -65,7 +62,6 @@ impl Default for SearchParams {
             steps: 1500,
             t0: 1.0,
             t_end: 0.01,
-            polish_moves: 10_000,
             line_size: slopt_ir::DEFAULT_LINE_SIZE,
         }
     }
@@ -97,7 +93,7 @@ pub struct ChainResult {
     /// The chain's RNG seed.
     pub seed: u64,
     /// Objective of `clusters` — bit-identical to
-    /// [`clustering_score`](slopt_core::clustering_score) on them.
+    /// [`clustering_score`] on them.
     pub score: f64,
     /// The best clustering the chain found (no empty clusters).
     pub clusters: Vec<Vec<FieldIdx>>,
@@ -233,31 +229,6 @@ fn propose<V: FlgView>(rng: &mut SmallRng, d: &DeltaObjective<'_, V>) -> Option<
     }
 }
 
-/// Steepest-ascent polish over single-field moves (the
-/// [`refine`](slopt_core::refine) move set) through the delta
-/// evaluator. Returns accepted move count.
-fn polish<V: FlgView>(d: &mut DeltaObjective<'_, V>, max_moves: usize) -> u64 {
-    let n = d.clusters().iter().map(Vec::len).sum::<usize>() as u32;
-    let mut accepted = 0u64;
-    while (accepted as usize) < max_moves {
-        let mut best: Option<(Move, f64)> = None;
-        for f in (0..n).map(FieldIdx) {
-            for dst in 0..=d.cluster_count() {
-                let m = Move::MoveField { field: f, dst };
-                if let Some(gain) = d.score_move(m) {
-                    if gain > 1e-9 && best.is_none_or(|(_, g)| gain > g) {
-                        best = Some((m, gain));
-                    }
-                }
-            }
-        }
-        let Some((m, _)) = best else { break };
-        d.apply(m);
-        accepted += 1;
-    }
-    accepted
-}
-
 /// Runs one annealing chain from `start`. Pure function of its
 /// arguments: same inputs, same seed → bit-identical result.
 pub fn run_chain<V: FlgView>(
@@ -308,7 +279,7 @@ pub fn run_chain<V: FlgView>(
     // Polish the best-seen state, not the final (possibly hot) one.
     let best = Clustering::new(best);
     let mut d = DeltaObjective::new(flg, record, &best, params.line_size);
-    let polished = polish(&mut d, params.polish_moves);
+    let polished = d.polish();
     // Canonicalize the cluster order (hottest member first, like the
     // greedy seeding order) and rescore with the canonical fold in that
     // order. Two chains that reach the same partition — or a chain that
@@ -325,7 +296,7 @@ pub fn run_chain<V: FlgView>(
     };
     let mut clusters: Vec<Vec<FieldIdx>> = d.into_clustering().clusters().to_vec();
     clusters.sort_by_key(|c| c.iter().map(|f| rank[f.index()]).min().unwrap_or(u32::MAX));
-    let score = slopt_core::delta::clustering_score_with(flg, &Clustering::new(clusters.clone()));
+    let score = clustering_score(flg, &Clustering::new(clusters.clone()));
     ChainResult {
         chain,
         seed,
@@ -368,7 +339,7 @@ pub fn search_layout<V: FlgView + Sync>(
     assert!(record.field_count() >= 2, "need at least two fields");
     assert!(portfolio.chains >= 1, "need at least one chain");
     let start = cluster(flg, record, params.line_size, obs);
-    let greedy_score = slopt_core::delta::clustering_score_with(flg, &start);
+    let greedy_score = clustering_score(flg, &start);
 
     let mut mix = SplitMix64::new(portfolio.master_seed);
     let seeds: Vec<u64> = (0..portfolio.chains).map(|_| mix.next_u64()).collect();
@@ -471,7 +442,7 @@ mod tests {
         let c = out.winner().clustering();
         assert_eq!(
             out.winner().score.to_bits(),
-            slopt_core::clustering_score(&flg, &c).to_bits()
+            clustering_score(&flg, &c).to_bits()
         );
         assert_eq!(c.field_count(), 5, "no field lost or duplicated");
     }

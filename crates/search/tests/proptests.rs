@@ -4,7 +4,7 @@
 //! portfolio is bit-reproducible for every `jobs` value.
 
 use proptest::prelude::*;
-use slopt_core::{clustering_score_with, Flg};
+use slopt_core::{clustering_score, Flg};
 use slopt_ir::types::{FieldIdx, FieldType, PrimType, RecordId, RecordType};
 use slopt_search::{search_layout, Portfolio, SearchParams};
 
@@ -50,7 +50,7 @@ proptest! {
         prop_assert_eq!(clustering.field_count(), n);
         prop_assert_eq!(
             base.winner().score.to_bits(),
-            clustering_score_with(&flg, &clustering).to_bits()
+            clustering_score(&flg, &clustering).to_bits()
         );
         prop_assert!(base.winner().score >= base.greedy_score);
 

@@ -100,7 +100,7 @@ fn main() {
         None => Obs::aggregating(),
     };
 
-    let code = if let Some(dir) = flag::<PathBuf>(&argv, "--emit-samples") {
+    let mut code = if let Some(dir) = flag::<PathBuf>(&argv, "--emit-samples") {
         emit_samples(
             &dir,
             &serve,
@@ -126,6 +126,12 @@ fn main() {
     if args.stats && obs.enabled() {
         println!("=== run stats ===");
         print!("{}", obs.summary());
+    }
+    if let Some(e) = obs.take_error() {
+        eprintln!("slopt-serve: trace write failed: {e}");
+        if code == 0 {
+            code = i32::from(exit::FAILURE);
+        }
     }
     std::process::exit(code);
 }

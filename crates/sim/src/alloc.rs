@@ -6,7 +6,7 @@
 //! concrete [`StructLayout`] an experiment is running with, so the engine
 //! can turn `(instance base, field)` into byte addresses.
 
-use slopt_ir::layout::StructLayout;
+use slopt_ir::layout::{align_up, StructLayout};
 use slopt_ir::types::{FieldIdx, RecordId};
 
 /// A bump allocator that aligns every allocation to a cache line.
@@ -42,8 +42,7 @@ impl Arena {
     pub fn alloc(&mut self, size: u64, align: u64) -> u64 {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         assert!(size > 0, "zero-size allocation");
-        let a = align.max(self.line_size);
-        let base = (self.next + a - 1) & !(a - 1);
+        let base = align_up(self.next, align.max(self.line_size));
         self.next = base + size;
         base
     }

@@ -10,9 +10,11 @@
 //! companion that is not its best line-mate. Greedy seeds the hottest
 //! field, grabs that companion, and the capacity rule walls off the
 //! better matching; the result is also a local optimum of the
-//! single-field move set, so [`refine`](slopt_core::refine) is stuck
-//! too. Only a search that accepts downhill steps reaches the optimal
-//! pairing. See `search_stress.sirw` for the exact edge weights.
+//! single-field move set, so [`refine`](slopt_core::refine()) — a
+//! [`polish`](slopt_core::DeltaObjective::polish) of the greedy
+//! clustering, scored by [`clustering_score`](slopt_core::clustering_score)
+//! like everything else — is stuck too. Only a search that accepts
+//! downhill steps reaches the optimal pairing. See `search_stress.sirw` for the exact edge weights.
 
 use crate::kernel::CustomWorkload;
 use crate::spec::parse_workload_file;

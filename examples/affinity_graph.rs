@@ -22,7 +22,7 @@ use slopt::ir::cfg::InstanceSlot;
 use slopt::ir::interp::profile_invocations;
 use slopt::ir::types::{FieldIdx, FieldType, PrimType, RecordType, TypeRegistry};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 5u64; // entry count "n"
     let trip = 100u32; // loop trip "N"
 

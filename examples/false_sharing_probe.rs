@@ -18,7 +18,7 @@ use slopt::sim::{
     Script, Topology,
 };
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut registry = TypeRegistry::new();
     let rec = registry.add_record(RecordType::new(
         "stats",

@@ -55,7 +55,7 @@ fn replay(
     )
 }
 
-fn main() {
+pub fn main() {
     let mut problem = GvlProblem::new();
     // Per-CPU tick counters (hot writers).
     let counters: Vec<GlobalId> = (0..4)

@@ -11,7 +11,7 @@ use slopt::workload::{
     Machine, SdetConfig,
 };
 
-fn main() {
+pub fn main() {
     // Keep the example quick: a smaller workload than the fig8 harness.
     let kernel = build_kernel();
     let sdet = SdetConfig {

@@ -138,7 +138,7 @@ fn run_point(
         ctx = ctx.with_fault(fc);
     }
     let outcome = measure_cells(&ctx, NAME, kernel, cells, RUNS).expect("measure_cells");
-    ctx.finish();
+    ctx.finish().expect("trace written");
     let summary = trace_path.map(|path| {
         let text = std::fs::read_to_string(path).expect("trace file");
         replay_str(&text).expect("valid trace")
