@@ -46,7 +46,7 @@ SMOKE_TRACE_J1="$(mktemp /tmp/slopt_smoke_j1.XXXXXX.jsonl)"
 cargo run --release --offline -p slopt-bench --bin fig9 -- --jobs 4 \
     --trace-out "$SMOKE_TRACE_J4" --checkpoint-dir "$SMOKE_CKPT_J4" \
     --fault-plan seed=7,transient=0.5,panic=0.2 --max-retries 16 > /dev/null
-cargo run --release --offline -p slopt-obs --bin trace_lint -- "$SMOKE_TRACE_J4"
+./target/release/slopt-tool stats "$SMOKE_TRACE_J4" > /dev/null
 cargo run --release --offline -p slopt-bench --bin fig9 -- --jobs 1 \
     --trace-out "$SMOKE_TRACE_J1" --checkpoint-dir "$SMOKE_CKPT_J1" \
     --fault-plan seed=7,transient=0.5,panic=0.2 --max-retries 16 > /dev/null
@@ -111,7 +111,7 @@ cargo bench --no-run --offline
 echo "== trace lint (fig9 --trace-out round-trip) =="
 TRACE_TMP="$(mktemp /tmp/slopt_trace.XXXXXX.jsonl)"
 cargo run --release --offline -p slopt-bench --bin fig9 -- --jobs 1 --trace-out "$TRACE_TMP" > /dev/null
-cargo run --release --offline -p slopt-obs --bin trace_lint -- "$TRACE_TMP"
+./target/release/slopt-tool stats "$TRACE_TMP" > /dev/null
 # A trace that could not be written is an internal failure: exit 1.
 if [ -e /dev/full ]; then
     set +e
@@ -147,14 +147,14 @@ grep -q '_bucket{le="+Inf"}' "$PROM_TMP"
 grep -q '_count ' "$PROM_TMP"
 rm -f "$TRACE_TMP" "$TRACE_TMP2" "$PROM_TMP"
 
-echo "== trace lint (resumed fig9 run round-trips through trace_lint) =="
+echo "== trace lint (resumed fig9 run round-trips through slopt-tool stats) =="
 CKPT_TMP="$(mktemp -d /tmp/slopt_ckpt.XXXXXX)"
 RESUME_TRACE_TMP="$(mktemp /tmp/slopt_resume_trace.XXXXXX.jsonl)"
 cargo run --release --offline -p slopt-bench --bin fig9 -- --jobs 1 \
     --checkpoint-dir "$CKPT_TMP" > /dev/null
 cargo run --release --offline -p slopt-bench --bin fig9 -- --jobs 1 \
     --checkpoint-dir "$CKPT_TMP" --resume --trace-out "$RESUME_TRACE_TMP" > /dev/null
-cargo run --release --offline -p slopt-obs --bin trace_lint -- "$RESUME_TRACE_TMP"
+./target/release/slopt-tool stats "$RESUME_TRACE_TMP" > /dev/null
 rm -rf "$CKPT_TMP" "$RESUME_TRACE_TMP"
 
 echo "== cargo test --doc (public-API doctests) =="

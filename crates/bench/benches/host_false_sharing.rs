@@ -12,13 +12,19 @@
 //! Each worker thread hammers its own counter; the packed layout forces
 //! coherence traffic between threads that share no data. Expect the
 //! isolated layout to be several times faster at 4+ threads.
+//!
+//! A plain `main` timed with `Instant`: each row is warmed up once, then
+//! the median of [`REPS`] runs is printed.
+//!
+//! Run with: `cargo bench -p slopt-bench --bench host_false_sharing`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
+use std::time::{Duration, Instant};
 
 const COUNTERS: usize = 8;
 const OPS_PER_THREAD: u64 = 200_000;
+const REPS: usize = 9;
 
 /// Counters packed shoulder to shoulder: classic false sharing.
 #[repr(C)]
@@ -67,7 +73,21 @@ fn hammer(counters: &[&AtomicU64], threads: usize) {
     });
 }
 
-fn bench_false_sharing(c: &mut Criterion) {
+/// Median wall time of one `hammer(counters, threads)` after a warm-up.
+fn time_hammer(counters: &[&AtomicU64], threads: usize) -> Duration {
+    hammer(counters, threads);
+    let mut times: Vec<Duration> = (0..REPS)
+        .map(|_| {
+            let start = Instant::now();
+            hammer(counters, threads);
+            start.elapsed()
+        })
+        .collect();
+    times.sort();
+    times[REPS / 2]
+}
+
+fn main() {
     let max_threads = thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
@@ -78,27 +98,30 @@ fn bench_false_sharing(c: &mut Criterion) {
              timeshare one core, so no real coherence traffic)."
         );
     }
-    let mut group = c.benchmark_group("host_false_sharing");
+    let packed = new_packed();
+    let isolated = new_isolated();
+    let layouts: [(&str, Vec<&AtomicU64>); 2] = [
+        ("packed", packed.counters.iter().collect()),
+        (
+            "isolated",
+            isolated.slots.iter().map(|s| &s.counter).collect(),
+        ),
+    ];
+    println!("layout     threads   median ms   Mops/s");
     for &threads in &[2usize, 4, 8] {
         // Always measure the smallest case so the bench produces output on
         // any machine; skip only the larger over-subscriptions.
         if threads > max_threads.max(2) {
             continue;
         }
-        group.throughput(Throughput::Elements(threads as u64 * OPS_PER_THREAD));
-        group.bench_with_input(BenchmarkId::new("packed", threads), &threads, |b, &t| {
-            let packed = new_packed();
-            let refs: Vec<&AtomicU64> = packed.counters.iter().collect();
-            b.iter(|| hammer(&refs, t));
-        });
-        group.bench_with_input(BenchmarkId::new("isolated", threads), &threads, |b, &t| {
-            let isolated = new_isolated();
-            let refs: Vec<&AtomicU64> = isolated.slots.iter().map(|s| &s.counter).collect();
-            b.iter(|| hammer(&refs, t));
-        });
+        let ops = (threads as u64 * OPS_PER_THREAD) as f64;
+        for (name, counters) in &layouts {
+            let t = time_hammer(counters, threads).as_secs_f64();
+            println!(
+                "{name:<10} {threads:>7} {:>11.3} {:>8.1}",
+                t * 1e3,
+                ops / t / 1e6
+            );
+        }
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_false_sharing);
-criterion_main!(benches);

@@ -40,7 +40,7 @@ pub const FLAG_REFERENCE: &str = "OPTIONS:
     --fault-plan SPEC    Inject seed-deterministic faults into the worker
                          pool (e.g. `seed=7,transient=0.1,panic=0.05`;
                          kinds: panic, transient, permanent, slow,
-                         write-error, read-error, corrupt).
+                         write-error).
     --max-retries N      Retry budget per grid item for transient faults
                          (default 3).
     --deadline-ms N      Cooperative per-item deadline in milliseconds; an

@@ -210,7 +210,7 @@ fn run() -> Result<(), String> {
             None => {
                 eprintln!(
                     "[perf_guard] {name:<12} no speedup_vs_reference in {fresh_path} \
-                     (bench missing or --no-reference run)"
+                     (bench missing)"
                 );
                 failed = true;
             }

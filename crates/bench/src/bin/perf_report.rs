@@ -48,8 +48,7 @@
 //! simulator's cost per access.
 //!
 //! Flags: `--quick` (smaller workloads, used by ci.sh), `--jobs N`,
-//! `--out PATH` (default `BENCH_sim.json`), `--no-reference` (skip the
-//! old implementations: faster, but no speedup column).
+//! `--out PATH` (default `BENCH_sim.json`).
 //!
 //! Schema: `slopt-perf-report/6`. Version 2 added a `peak_rss_kb` field
 //! per bench — the process's high-water resident set (Linux `VmHWM`,
@@ -85,7 +84,6 @@ struct Args {
     quick: bool,
     jobs: usize,
     out: String,
-    reference: bool,
 }
 
 impl Args {
@@ -93,11 +91,7 @@ impl Args {
         let args: Vec<String> = std::env::args().skip(1).collect();
         // `--jobs` comes from the shared execution-context parser, with
         // the bin-specific flags below registered as extras.
-        let extras: &[(&str, bool)] = &[
-            ("--out", true),
-            ("--quick", false),
-            ("--no-reference", false),
-        ];
+        let extras: &[(&str, bool)] = &[("--out", true), ("--quick", false)];
         let (common, out) = CommonArgs::parse_with(&args, extras)
             .and_then(|common| {
                 let out = extra_flag(&args, "--out")?;
@@ -108,7 +102,6 @@ impl Args {
             quick: args.iter().any(|a| a == "--quick"),
             jobs: common.jobs,
             out: out.unwrap_or_else(|| "BENCH_sim.json".to_string()),
-            reference: !args.iter().any(|a| a == "--no-reference"),
         }
     }
 }
@@ -121,8 +114,7 @@ struct BenchResult {
     reps: usize,
     /// Per-rep wall clock of the dense implementation, serial.
     dense_s: Vec<f64>,
-    /// Per-rep wall clock of the reference implementation, serial
-    /// (empty under `--no-reference`).
+    /// Per-rep wall clock of the reference implementation, serial.
     reference_s: Vec<f64>,
     /// Total wall clock of all dense reps fanned over `--jobs` threads
     /// (`cc_stream` only; `None` elsewhere).
@@ -195,12 +187,8 @@ impl BenchResult {
     }
     /// Trimmed-mean ratio of reference over dense — robust to one noisy
     /// rep on either side.
-    fn speedup(&self) -> Option<f64> {
-        if self.reference_s.is_empty() {
-            None
-        } else {
-            Some(trimmed_mean(&self.reference_s) / trimmed_mean(&self.dense_s))
-        }
+    fn speedup(&self) -> f64 {
+        trimmed_mean(&self.reference_s) / trimmed_mean(&self.dense_s)
     }
 }
 
@@ -279,41 +267,38 @@ fn bench_cc_stream(args: &Args) -> BenchResult {
     let stream_rss = peak_rss_kb();
 
     let mut reference_s = Vec::new();
-    let mut batch_rss = None;
-    if args.reference {
-        let mut samples = Vec::with_capacity(n);
-        for i in 0..n_shards {
-            let count = shard_size.min(n - i * shard_size);
-            samples.extend(synth_samples(count, 16, 400, span, 0xCC57 + i as u64));
-        }
-        samples.sort_by_key(|s| s.time);
-        // Timed old-vs-new: the frozen tensor-pipeline reference. The
-        // current batch path shares the blocked kernel with streaming, so
-        // it is checked for equivalence but not used as the baseline.
-        for _ in 0..reps {
-            let (reference, tr) = time(|| concurrency_map_reference(&samples, &cfg));
-            reference_s.push(tr);
-            assert_eq!(
-                streamed.pairs(),
-                reference.pairs(),
-                "streamed and reference concurrency maps disagree"
-            );
-        }
-        // Full equivalence chain, once: streamed ≡ batch ≡ naive.
-        let batch = concurrency_map(&samples, &cfg);
+    let mut samples = Vec::with_capacity(n);
+    for i in 0..n_shards {
+        let count = shard_size.min(n - i * shard_size);
+        samples.extend(synth_samples(count, 16, 400, span, 0xCC57 + i as u64));
+    }
+    samples.sort_by_key(|s| s.time);
+    // Timed old-vs-new: the frozen tensor-pipeline reference. The
+    // current batch path shares the blocked kernel with streaming, so
+    // it is checked for equivalence but not used as the baseline.
+    for _ in 0..reps {
+        let (reference, tr) = time(|| concurrency_map_reference(&samples, &cfg));
+        reference_s.push(tr);
         assert_eq!(
             streamed.pairs(),
-            batch.pairs(),
-            "streamed and batch concurrency maps disagree"
+            reference.pairs(),
+            "streamed and reference concurrency maps disagree"
         );
-        let naive = concurrency_map_naive(&samples, &cfg);
-        assert_eq!(
-            batch.pairs(),
-            naive.pairs(),
-            "batch and naive concurrency maps disagree"
-        );
-        batch_rss = peak_rss_kb();
     }
+    // Full equivalence chain, once: streamed ≡ batch ≡ naive.
+    let batch = concurrency_map(&samples, &cfg);
+    assert_eq!(
+        streamed.pairs(),
+        batch.pairs(),
+        "streamed and batch concurrency maps disagree"
+    );
+    let naive = concurrency_map_naive(&samples, &cfg);
+    assert_eq!(
+        batch.pairs(),
+        naive.pairs(),
+        "batch and naive concurrency maps disagree"
+    );
+    let batch_rss = peak_rss_kb();
     let _ = std::fs::remove_dir_all(&dir);
 
     BenchResult {
@@ -368,25 +353,21 @@ fn bench_cc(args: &Args) -> BenchResult {
         let (dense, td) = time(|| concurrency_map(&samples, &cfg));
         dense_s.push(td);
         dense_pairs = dense.pairs();
-        if args.reference {
-            let (reference, tr) = time(|| concurrency_map_reference(&samples, &cfg));
-            reference_s.push(tr);
-            assert_eq!(
-                dense_pairs,
-                reference.pairs(),
-                "dense and reference concurrency maps disagree"
-            );
-        }
-    }
-    if args.reference {
-        // The naive formulation is the test oracle, checked once and
-        // never timed.
+        let (reference, tr) = time(|| concurrency_map_reference(&samples, &cfg));
+        reference_s.push(tr);
         assert_eq!(
             dense_pairs,
-            concurrency_map_naive(&samples, &cfg).pairs(),
-            "dense and naive concurrency maps disagree"
+            reference.pairs(),
+            "dense and reference concurrency maps disagree"
         );
     }
+    // The naive formulation is the test oracle, checked once and
+    // never timed.
+    assert_eq!(
+        dense_pairs,
+        concurrency_map_naive(&samples, &cfg).pairs(),
+        "dense and naive concurrency maps disagree"
+    );
     BenchResult {
         name: "cc",
         work: format!("{n} samples, 16 cpus, 400 lines, {intervals} intervals"),
@@ -443,17 +424,15 @@ fn bench_flg_cluster(args: &Args) -> BenchResult {
             cluster(&flg, &rec, 128, &slopt_obs::Obs::disabled())
         });
         dense_s.push(td);
-        if args.reference {
-            let (refr, tr) = time(|| {
-                let flg = FlgRef::from_parts(RecordId(0), hotness.clone(), edges.iter().copied());
-                cluster(&flg, &rec, 128, &slopt_obs::Obs::disabled())
-            });
-            reference_s.push(tr);
-            assert_eq!(
-                dense, refr,
-                "dense and reference FLG produce different clusterings"
-            );
-        }
+        let (refr, tr) = time(|| {
+            let flg = FlgRef::from_parts(RecordId(0), hotness.clone(), edges.iter().copied());
+            cluster(&flg, &rec, 128, &slopt_obs::Obs::disabled())
+        });
+        reference_s.push(tr);
+        assert_eq!(
+            dense, refr,
+            "dense and reference FLG produce different clusterings"
+        );
     }
     BenchResult {
         name: "flg_cluster",
@@ -569,28 +548,26 @@ fn bench_search_delta(args: &Args) -> BenchResult {
     }
 
     let mut reference_s = Vec::new();
-    if args.reference {
-        for _ in 0..reps {
-            let mut d = DeltaObjective::new(&flg, &rec, &start, line);
-            let mut committed: Vec<u64> = Vec::with_capacity(trace.len());
-            let mut checksum = 0.0f64;
-            let ((), tr) = time(|| {
-                for &(m, accept) in &trace {
-                    if accept {
-                        d.apply(m);
-                        committed.push(full_score(&d).to_bits());
-                    } else {
-                        checksum += full_score(&d);
-                    }
+    for _ in 0..reps {
+        let mut d = DeltaObjective::new(&flg, &rec, &start, line);
+        let mut committed: Vec<u64> = Vec::with_capacity(trace.len());
+        let mut checksum = 0.0f64;
+        let ((), tr) = time(|| {
+            for &(m, accept) in &trace {
+                if accept {
+                    d.apply(m);
+                    committed.push(full_score(&d).to_bits());
+                } else {
+                    checksum += full_score(&d);
                 }
-            });
-            reference_s.push(tr);
-            assert!(checksum.is_finite(), "full rescoring overflowed");
-            assert_eq!(
-                dense_trace, committed,
-                "delta and full-rescore committed score traces diverged"
-            );
-        }
+            }
+        });
+        reference_s.push(tr);
+        assert!(checksum.is_finite(), "full rescoring overflowed");
+        assert_eq!(
+            dense_trace, committed,
+            "delta and full-rescore committed score traces diverged"
+        );
     }
 
     let mut r = BenchResult {
@@ -605,7 +582,7 @@ fn bench_search_delta(args: &Args) -> BenchResult {
         batch_peak_rss_kb: None,
         delta_full_ratio: None,
     };
-    r.delta_full_ratio = r.speedup();
+    r.delta_full_ratio = Some(r.speedup());
     r
 }
 
@@ -637,24 +614,22 @@ fn write_report(path: &str, args: &Args, results: &[BenchResult]) -> std::io::Re
             fields.push(format!("      \"dense_p50_s\": {p50:.6}"));
             fields.push(format!("      \"dense_p99_s\": {p99:.6}"));
         }
-        if !r.reference_s.is_empty() {
-            fields.push(format!(
-                "      \"reference_serial_s\": {}",
-                json_f64_array(&r.reference_s)
-            ));
-            fields.push(format!(
-                "      \"reference_serial_total_s\": {:.6}",
-                r.reference_total()
-            ));
-            fields.push(format!(
-                "      \"reference_trimmed_mean_s\": {:.6}",
-                trimmed_mean(&r.reference_s)
-            ));
-            fields.push(format!(
-                "      \"speedup_vs_reference\": {:.3}",
-                r.speedup().expect("reference measured")
-            ));
-        }
+        fields.push(format!(
+            "      \"reference_serial_s\": {}",
+            json_f64_array(&r.reference_s)
+        ));
+        fields.push(format!(
+            "      \"reference_serial_total_s\": {:.6}",
+            r.reference_total()
+        ));
+        fields.push(format!(
+            "      \"reference_trimmed_mean_s\": {:.6}",
+            trimmed_mean(&r.reference_s)
+        ));
+        fields.push(format!(
+            "      \"speedup_vs_reference\": {:.3}",
+            r.speedup()
+        ));
         if let Some(ratio) = r.delta_full_ratio {
             fields.push(format!("      \"delta_full_ratio\": {ratio:.3}"));
         }
@@ -675,11 +650,10 @@ fn write_report(path: &str, args: &Args, results: &[BenchResult]) -> std::io::Re
         benches.push(format!("    {{\n{}\n    }}", fields.join(",\n")));
     }
     let doc = format!(
-        "{{\n  \"schema\": \"slopt-perf-report/6\",\n  \"quick\": {},\n  \"jobs\": {},\n  \"host_cores\": {},\n  \"equivalence_checked\": {},\n  \"benches\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"slopt-perf-report/6\",\n  \"quick\": {},\n  \"jobs\": {},\n  \"host_cores\": {},\n  \"equivalence_checked\": true,\n  \"benches\": [\n{}\n  ]\n}}\n",
         args.quick,
         args.jobs,
         host_cores(),
-        args.reference,
         benches.join(",\n")
     );
     std::fs::write(path, doc)
@@ -696,10 +670,7 @@ fn host_cores() -> usize {
 
 fn main() {
     let args = Args::from_env();
-    eprintln!(
-        "[perf_report] quick={} jobs={} reference={}",
-        args.quick, args.jobs, args.reference
-    );
+    eprintln!("[perf_report] quick={} jobs={}", args.quick, args.jobs);
 
     let results = vec![
         // cc_stream must run first: VmHWM only ever rises, so its peak-RSS
@@ -711,22 +682,14 @@ fn main() {
     ];
 
     for r in &results {
-        match r.speedup() {
-            Some(s) => eprintln!(
-                "[perf_report] {:<12} dense {:.3}s vs reference {:.3}s -> {:.2}x ({})",
-                r.name,
-                r.dense_total(),
-                r.reference_total(),
-                s,
-                r.work
-            ),
-            None => eprintln!(
-                "[perf_report] {:<12} dense {:.3}s ({})",
-                r.name,
-                r.dense_total(),
-                r.work
-            ),
-        }
+        eprintln!(
+            "[perf_report] {:<12} dense {:.3}s vs reference {:.3}s -> {:.2}x ({})",
+            r.name,
+            r.dense_total(),
+            r.reference_total(),
+            r.speedup(),
+            r.work
+        );
         if let Some(jp) = r.dense_jobs_s {
             eprintln!(
                 "[perf_report] {:<12} --jobs {}: {:.3}s total ({:.2}x vs serial)",

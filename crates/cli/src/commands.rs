@@ -103,7 +103,7 @@ USAGE:
 
         --fault-plan injects seed-deterministic faults into the worker
         pool (e.g. `seed=7,transient=0.1,panic=0.05`; kinds: panic,
-        transient, permanent, slow, write-error, read-error, corrupt).
+        transient, permanent, slow, write-error).
         Transient faults are retried (--max-retries, default 3) and leave
         the output bit-identical; permanent faults hole the affected
         cells, print partial results, and exit 4. --deadline-ms bounds
@@ -630,10 +630,8 @@ fn serve_ingest(
     // A collector retries harder than a grid item: 8 unless given.
     let max_retries = extra_flag(args, "--max-retries")?.unwrap_or(8u32);
 
-    let mut files: Vec<std::path::PathBuf> = Vec::new();
-    collect_shard_files(std::path::Path::new(&dir), &mut files)
+    let files = slopt_sample::shard_files(std::path::Path::new(&dir))
         .map_err(|e| CliError::bad_input(format!("walking {dir}: {e}")))?;
-    files.sort();
     if files.is_empty() {
         return Err(CliError::bad_input(format!(
             "no *.slshard files under {dir}"
@@ -651,21 +649,6 @@ fn serve_ingest(
             .ingest(&batch, &plan, max_retries, &ctx.obs)
             .map_err(|e| CliError::failure(e.to_string()))?;
         println!("[ingest] client {client_id} seq {seq}: {ack}");
-    }
-    Ok(())
-}
-
-fn collect_shard_files(
-    dir: &std::path::Path,
-    out: &mut Vec<std::path::PathBuf>,
-) -> std::io::Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.is_dir() {
-            collect_shard_files(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "slshard") {
-            out.push(path);
-        }
     }
     Ok(())
 }

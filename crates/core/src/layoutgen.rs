@@ -9,8 +9,9 @@
 //! its own cache line would bloat the record (one line per cold field), so
 //! clusters whose fields were never referenced (hotness 0) are coalesced
 //! into a single packed tail group. This is an engineering choice the paper
-//! leaves implicit; it never affects hot-field placement and can be turned
-//! off via [`LayoutOptions::pack_cold_tail`].
+//! leaves implicit; it never affects hot-field placement. Global variable
+//! layout ([`crate::gvl`]) materializes its sections here too, so fields
+//! and globals share one cold-tail policy.
 
 use crate::cluster::Clustering;
 use crate::flg::Flg;
@@ -22,16 +23,12 @@ use slopt_ir::types::RecordType;
 pub struct LayoutOptions {
     /// Cache-line size of the target machine.
     pub line_size: u64,
-    /// Coalesce all-cold singleton clusters into one packed tail group
-    /// (default true).
-    pub pack_cold_tail: bool,
 }
 
 impl Default for LayoutOptions {
     fn default() -> Self {
         LayoutOptions {
             line_size: slopt_ir::layout::DEFAULT_LINE_SIZE,
-            pack_cold_tail: true,
         }
     }
 }
@@ -51,8 +48,7 @@ pub fn layout_from_clusters(
     let mut hot_groups: Vec<Vec<slopt_ir::types::FieldIdx>> = Vec::new();
     let mut cold_tail: Vec<slopt_ir::types::FieldIdx> = Vec::new();
     for cluster in clustering.clusters() {
-        let cold = opts.pack_cold_tail && cluster.iter().all(|&f| flg.hotness(f) == 0);
-        if cold {
+        if cluster.iter().all(|&f| flg.hotness(f) == 0) {
             cold_tail.extend_from_slice(cluster);
         } else {
             hot_groups.push(cluster.clone());
@@ -122,21 +118,6 @@ mod tests {
         for i in 1..21u32 {
             assert!(!layout.share_line(FieldIdx(0), FieldIdx(i)));
         }
-    }
-
-    #[test]
-    fn pack_cold_tail_can_be_disabled() {
-        let rec = record_u64(4);
-        let mut hot = vec![0u64; 4];
-        hot[0] = 1;
-        let flg = Flg::from_parts(RecordId(0), hot, vec![]);
-        let c = cluster(&flg, &rec, 128, &slopt_obs::Obs::disabled());
-        let opts = LayoutOptions {
-            line_size: 128,
-            pack_cold_tail: false,
-        };
-        let layout = layout_from_clusters(&rec, &c, &flg, opts).unwrap();
-        assert_eq!(layout.line_span(), 4, "every singleton on its own line");
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!   edges (all negative + top-20 positive), cluster that subgraph, and
 //!   apply the result as constraints on the original hand-tuned layout.
 //! * [`report`] — the advisory output of the semi-automatic tool.
-//! * [`gvl`] — the same greedy clustering applied to global variables.
+//! * [`gvl`] — global variable layout: a data section viewed as a record
+//!   of opaque fields, laid out by [`cluster()`] and
+//!   [`layout_from_clusters`].
 //! * [`pipeline`] — one-call drivers: [`suggest_layout`] (fully automatic)
 //!   and [`suggest_constrained`] (incremental).
 //!
@@ -74,7 +76,7 @@ pub use cluster::{cluster, Clustering};
 pub use delta::{canonical_cluster_sum, clustering_score, DeltaObjective, Move};
 pub use dot::{to_dot, DotOptions};
 pub use flg::{reference::FlgRef, Flg, FlgParams, FlgView};
-pub use gvl::{layout_globals, link_order_layout, Global, GlobalId, GvlProblem, SectionLayout};
+pub use gvl::{layout_globals, GvlProblem};
 pub use heuristics::{random_layout, sort_by_hotness};
 pub use layoutgen::{layout_from_clusters, LayoutOptions};
 pub use pipeline::{

@@ -1,7 +1,7 @@
 //! Property tests for the instrumentation event stream.
 //!
-//! The trace contract that `slopt-tool stats` and the `trace_lint` CI
-//! step rely on is *per-thread span discipline*: on every thread, B/E
+//! The trace contract that `slopt-tool stats` (and the CI steps that run
+//! it on saved traces) rely on is *per-thread span discipline*: on every thread, B/E
 //! events form a balanced, properly nested (LIFO, name-matched) sequence.
 //! Here random end-to-end pipelines — random record shapes, random access
 //! patterns, random request batches, random worker counts — run against a

@@ -1,52 +1,10 @@
-//! Fault-injectable I/O: the crash-free input boundary's test double.
-//!
-//! Production collectors hand the pipeline shard files that may be
-//! truncated, corrupted, or temporarily unreadable. These wrappers
-//! reproduce those conditions *deterministically* from a [`FaultPlan`],
-//! so the ingestion layer's skip/retry paths can be exercised
-//! systematically instead of hoping a flaky filesystem shows up in CI.
+//! Retry for fallible I/O. The daemon's journal append retries through
+//! [`retry_io`] when an injected (or real) transient failure surfaces as
+//! [`io::ErrorKind::Interrupted`], and the ingest client sleeps on the
+//! same [`backoff`] schedule.
 
-use crate::plan::{FaultKind, FaultPlan};
 use std::io;
-use std::path::Path;
 use std::time::Duration;
-
-/// Reads a whole file, subject to the plan's `read-error` (a retryable
-/// [`io::ErrorKind::Interrupted`] failure) and `corrupt` (deterministic
-/// byte flips) faults at `(site, index, attempt)`.
-///
-/// Retrying with a higher `attempt` re-rolls the transient decision —
-/// the same contract as the supervised worker pool.
-pub fn read_bytes(
-    plan: &FaultPlan,
-    site: &str,
-    index: u64,
-    attempt: u32,
-    path: &Path,
-) -> io::Result<Vec<u8>> {
-    if plan.fires(FaultKind::ReadError, site, index, attempt) {
-        return Err(io::Error::new(
-            io::ErrorKind::Interrupted,
-            format!("injected transient read error ({site} #{index}, attempt {attempt})"),
-        ));
-    }
-    let mut bytes = std::fs::read(path)?;
-    corrupt_bytes(plan, site, index, &mut bytes);
-    Ok(bytes)
-}
-
-/// Applies the plan's `corrupt` fault to an in-memory buffer: flips one
-/// deterministically chosen byte. Returns whether a corruption was
-/// injected. Corruption is attempt-independent — a corrupted input stays
-/// corrupted on re-read, like a bad sector or a truncated upload.
-pub fn corrupt_bytes(plan: &FaultPlan, site: &str, index: u64, bytes: &mut [u8]) -> bool {
-    if bytes.is_empty() || !plan.fires(FaultKind::Corrupt, site, index, 0) {
-        return false;
-    }
-    let pos = (plan.mix(FaultKind::Corrupt, site, index, 1) as usize) % bytes.len();
-    bytes[pos] ^= 0xa5;
-    true
-}
 
 /// Runs a fallible I/O operation up to `1 + max_retries` times,
 /// retrying only [`io::ErrorKind::Interrupted`] failures with a bounded
@@ -77,49 +35,21 @@ pub fn backoff(attempt: u32) -> Duration {
 mod tests {
     use super::*;
 
-    fn temp_file(tag: &str, contents: &[u8]) -> std::path::PathBuf {
-        let path =
-            std::env::temp_dir().join(format!("slopt_fault_io_{}_{tag}", std::process::id()));
-        std::fs::write(&path, contents).unwrap();
-        path
-    }
-
-    #[test]
-    fn clean_plan_reads_verbatim() {
-        let path = temp_file("clean", b"hello shards");
-        let plan = FaultPlan::none();
-        let bytes = read_bytes(&plan, "shard", 0, 0, &path).unwrap();
-        assert_eq!(bytes, b"hello shards");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn corruption_is_deterministic_and_single_byte() {
-        let original = vec![0u8; 64];
-        let plan = FaultPlan::parse("seed=5,corrupt=1").unwrap();
-        let mut a = original.clone();
-        let mut b = original.clone();
-        assert!(corrupt_bytes(&plan, "shard", 3, &mut a));
-        assert!(corrupt_bytes(&plan, "shard", 3, &mut b));
-        assert_eq!(a, b, "same decision point, same corruption");
-        let flipped = a.iter().zip(&original).filter(|(x, y)| x != y).count();
-        assert_eq!(flipped, 1);
-        let mut c = original.clone();
-        assert!(corrupt_bytes(&plan, "shard", 4, &mut c));
-        // Different index may flip a different byte (not asserted
-        // strictly — both streams are valid — but corruption must fire).
-        assert_ne!(c, original);
-    }
-
     #[test]
     fn transient_read_errors_retry_to_success() {
-        let path = temp_file("retry", b"payload");
-        // read-error at 0.9: some attempts fail, but with enough
-        // retries a success attempt exists for this pinned seed.
-        let plan = FaultPlan::parse("seed=11,read-error=0.9").unwrap();
-        let bytes = retry_io(16, |attempt| read_bytes(&plan, "shard", 7, attempt, &path)).unwrap();
+        // The first three attempts fail transiently; the fourth reads.
+        let mut calls = 0;
+        let bytes = retry_io(16, |attempt| {
+            calls += 1;
+            if attempt < 3 {
+                Err(io::Error::new(io::ErrorKind::Interrupted, "transient"))
+            } else {
+                Ok(b"payload".to_vec())
+            }
+        })
+        .unwrap();
         assert_eq!(bytes, b"payload");
-        std::fs::remove_file(&path).unwrap();
+        assert_eq!(calls, 4);
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! can stall, die, or lose their I/O. This crate is the layer that makes
 //! those failure modes *testable*: a [`FaultPlan`] is a seeded, fully
 //! deterministic schedule of injected faults — worker panics, transient
-//! errors, permanent errors, slow workers, dropped checkpoint appends,
-//! transient read errors, corrupt bytes — that call sites consult at
-//! explicit injection points.
+//! errors, permanent errors, slow workers, failed checkpoint and journal
+//! appends — that call sites consult at explicit injection points.
 //!
 //! Two properties make the layer useful rather than merely chaotic:
 //!
@@ -48,8 +47,6 @@
 //! | `slow` | probability a worker attempt stalls `slow-ms` |
 //! | `slow-ms` | stall duration in milliseconds (default 25) |
 //! | `write-error` | probability a checkpoint append is dropped |
-//! | `read-error` | probability a wrapped read fails transiently |
-//! | `corrupt` | probability a wrapped read returns corrupted bytes |
 //!
 //! All probabilities are in `[0, 1]`; omitted keys default to 0, so the
 //! empty spec is the no-op plan.

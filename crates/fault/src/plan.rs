@@ -19,21 +19,15 @@ pub enum FaultKind {
     Slow,
     /// A checkpoint append is dropped (the item recomputes on resume).
     WriteError,
-    /// A wrapped read fails with a retryable I/O error.
-    ReadError,
-    /// A wrapped read returns deterministically corrupted bytes.
-    Corrupt,
 }
 
 /// All kinds, in spec-key order.
-pub const KINDS: [FaultKind; 7] = [
+pub const KINDS: [FaultKind; 5] = [
     FaultKind::Panic,
     FaultKind::Transient,
     FaultKind::Permanent,
     FaultKind::Slow,
     FaultKind::WriteError,
-    FaultKind::ReadError,
-    FaultKind::Corrupt,
 ];
 
 impl FaultKind {
@@ -45,8 +39,6 @@ impl FaultKind {
             FaultKind::Permanent => "permanent",
             FaultKind::Slow => "slow",
             FaultKind::WriteError => "write-error",
-            FaultKind::ReadError => "read-error",
-            FaultKind::Corrupt => "corrupt",
         }
     }
 
@@ -190,9 +182,8 @@ impl FaultPlan {
         (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// A deterministic u64 for the decision point (also used to pick
-    /// which byte [`crate::io::corrupt_bytes`] flips).
-    pub(crate) fn mix(&self, kind: FaultKind, site: &str, index: u64, attempt: u32) -> u64 {
+    /// A deterministic u64 for the decision point.
+    fn mix(&self, kind: FaultKind, site: &str, index: u64, attempt: u32) -> u64 {
         // FNV-1a over the identifying parts, then a SplitMix64 finalizer
         // so nearby indices decorrelate.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -273,6 +264,10 @@ mod tests {
             ("seed=banana", "bad seed"),
             ("slow-ms=-3", "bad millisecond"),
             ("tornado=0.5", "unknown key"),
+            // Nothing reads through a plan, so these are usage errors,
+            // not silent no-ops.
+            ("read-error=1", "unknown key"),
+            ("seed=1,corrupt=1", "unknown key"),
         ] {
             let e = FaultPlan::parse(spec).expect_err(spec);
             assert!(e.to_string().contains(needle), "{spec}: {e}");

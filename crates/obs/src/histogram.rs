@@ -155,7 +155,7 @@ impl Histogram {
 
     /// The non-empty buckets as `(bucket index, cumulative count)` pairs,
     /// ascending in both — the wire form of the `S` summary trace event,
-    /// whose monotonicity `trace_lint` enforces.
+    /// whose monotonicity trace validation ([`crate::lint_str`]) enforces.
     pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
         let mut out = Vec::new();
         let mut cum = 0u64;

@@ -1,8 +1,8 @@
 //! A minimal recursive-descent JSON parser.
 //!
 //! The build environment is offline (no serde), and the obs layer both
-//! writes JSON (trace sink, perf reports) and reads it back (trace replay,
-//! `trace_lint`, `perf_guard`). This parser covers the full JSON grammar
+//! writes JSON (trace sink, perf reports) and reads it back (trace replay
+//! and validation, `perf_guard`). This parser covers the full JSON grammar
 //! minus surrogate-pair `\u` escapes, which none of our writers emit.
 
 use std::collections::BTreeMap;

@@ -10,10 +10,11 @@
 //! ([`ReplaySummary::folded`]) that [`crate::flame`] renders in FlameGraph
 //! collapsed format.
 //!
-//! [`lint_str`] is the strict line-by-line validator behind the
-//! `trace_lint` bin used in CI. It understands every phase the trace sink
-//! writes — `M`/`B`/`E`/`C` plus the profiling phases `H` (one histogram
-//! observation) and `S` (end-of-run histogram summary) — and rejects
+//! [`lint_str`] is the strict line-by-line validator; [`replay_str`] runs
+//! the same checks, so `slopt-tool stats` rejects what it rejects. It
+//! understands every phase the trace sink writes — `M`/`B`/`E`/`C` plus
+//! the profiling phases `H` (one histogram observation) and `S`
+//! (end-of-run histogram summary) — and rejects
 //! malformed histogram payloads (out-of-range or descending bucket
 //! indices, non-monotonic cumulative counts, quantiles outside
 //! `[min, max]`, summaries inconsistent with the `H` stream) instead of

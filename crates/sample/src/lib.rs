@@ -37,7 +37,7 @@ pub use concurrency::{
 pub use cycleloss::{cycle_loss, cycle_loss_filtered, cycle_loss_weighted, CycleLossMap};
 pub use sampler::{ExactCounter, Sample, Sampler, SamplerConfig};
 pub use shard::{
-    decode_shard, encode_shard, read_shard, shard_concurrency, shard_file_name, write_shard,
-    write_shards, ShardError, ShardIngestStats, ShardReader, StreamingConcurrency,
+    decode_shard, encode_shard, read_shard, shard_concurrency, shard_file_name, shard_files,
+    write_shard, write_shards, ShardError, ShardIngestStats, ShardReader, StreamingConcurrency,
     WindowedConcurrency,
 };

@@ -290,6 +290,30 @@ pub fn read_shard(path: &Path) -> Result<Vec<Sample>, ShardError> {
     decode_shard(&bytes)
 }
 
+/// Every `*.slshard` file under `dir`, walked recursively, in path order
+/// (the order offline advice folds them and `serve ingest` sends them).
+///
+/// # Errors
+///
+/// Returns the first I/O error met while walking.
+pub fn shard_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+        for entry in fs::read_dir(dir)? {
+            let path = entry?.path();
+            if path.is_dir() {
+                walk(&path, out)?;
+            } else if path.extension().is_some_and(|e| e == SHARD_EXT) {
+                out.push(path);
+            }
+        }
+        Ok(())
+    }
+    let mut files = Vec::new();
+    walk(dir, &mut files)?;
+    files.sort();
+    Ok(files)
+}
+
 /// Iterates the shards of a directory in index order, yielding each
 /// shard's path and parse result. Files not matching
 /// `shard-NNNNN.slshard` are ignored; gaps in the numbering are counted
@@ -925,6 +949,39 @@ mod tests {
         let empty = dir.join(shard_file_name(1));
         write_shard(&empty, &[]).unwrap();
         assert_eq!(read_shard(&empty).unwrap(), Vec::new());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn shard_files_walks_nested_dirs_in_path_order() {
+        let dir = temp_dir("walk");
+        fs::create_dir_all(dir.join("b/deep")).unwrap();
+        fs::create_dir_all(dir.join("a")).unwrap();
+        for rel in [
+            "b/deep/z.slshard",
+            "b/y.slshard",
+            "a/x.slshard",
+            "top.slshard",
+            "a/notes.txt",
+            "b/deep/z.slshard.tmp",
+        ] {
+            fs::write(dir.join(rel), b"").unwrap();
+        }
+        let got: Vec<PathBuf> = shard_files(&dir)
+            .unwrap()
+            .into_iter()
+            .map(|p| p.strip_prefix(&dir).unwrap().to_path_buf())
+            .collect();
+        let want: Vec<PathBuf> = [
+            "a/x.slshard",
+            "b/deep/z.slshard",
+            "b/y.slshard",
+            "top.slshard",
+        ]
+        .iter()
+        .map(PathBuf::from)
+        .collect();
+        assert_eq!(got, want);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -214,9 +214,7 @@ pub fn offline_advice(
     plan: FaultPlan,
     obs: &Obs,
 ) -> io::Result<Advice> {
-    let mut files = Vec::new();
-    collect_shards(dir, &mut files)?;
-    files.sort();
+    let files = slopt_sample::shard_files(dir)?;
     let mut win = WindowedConcurrency::new(
         slopt_sample::ConcurrencyConfig {
             interval: cfg.interval,
@@ -236,16 +234,4 @@ pub fn offline_advice(
     }
     let mut advisor = Advisor::new(cfg, jobs, policy, plan, obs);
     Ok(advisor.advise(&mut win, obs))
-}
-
-fn collect_shards(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.is_dir() {
-            collect_shards(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "slshard") {
-            out.push(path);
-        }
-    }
-    Ok(())
 }

@@ -135,9 +135,9 @@ impl DenseDirectory {
 }
 
 /// Directory storage: the dense paged layout (default) or the original
-/// hash map, retained as the equivalence/performance reference
-/// ([`MemSystem::set_reference_directory`], `perf_report --reference`,
-/// and the property tests in `crates/sim/tests`).
+/// hash map, retained as the equivalence reference
+/// ([`MemSystem::set_reference_directory`] and the property tests in
+/// `crates/sim/tests`).
 #[derive(Debug)]
 enum Directory {
     Dense(DenseDirectory),
@@ -288,7 +288,7 @@ impl MemSystem {
     /// Switches the directory to the retained hash-map reference
     /// implementation (`true`) or back to the default dense paged layout
     /// (`false`). Both are observationally identical; the reference exists
-    /// for equivalence tests and the `perf_report` old-vs-new comparison.
+    /// for equivalence tests.
     ///
     /// # Panics
     ///

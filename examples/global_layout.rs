@@ -9,19 +9,16 @@
 //!
 //! Run with: `cargo run --example global_layout`
 
-use slopt::core::{layout_globals, link_order_layout, GlobalId, GvlProblem, SectionLayout};
+use slopt::core::{layout_globals, random_layout, GvlProblem};
+use slopt::ir::layout::StructLayout;
+use slopt::ir::types::FieldIdx;
 use slopt::sim::{AccessClass, CacheConfig, CpuId, LatencyModel, MemSystem, Topology};
 
 const SECTION_BASE: u64 = 0x100_000;
 
 /// Replays the workload's access pattern against a section layout and
 /// returns (total cycles, false-sharing misses).
-fn replay(
-    problem: &GvlProblem,
-    layout: &SectionLayout,
-    counters: &[GlobalId],
-    cfg: &[GlobalId],
-) -> (u64, u64) {
+fn replay(layout: &StructLayout, counters: &[FieldIdx], cfg: &[FieldIdx]) -> (u64, u64) {
     let mut mem = MemSystem::new(
         Topology::superdome(4),
         LatencyModel::superdome(),
@@ -47,7 +44,6 @@ fn replay(
         }
         let _ = round;
     }
-    let _ = problem;
     let makespan = now.iter().copied().max().unwrap_or(0);
     (
         makespan,
@@ -58,7 +54,7 @@ fn replay(
 pub fn main() {
     let mut problem = GvlProblem::new();
     // Per-CPU tick counters (hot writers).
-    let counters: Vec<GlobalId> = (0..4)
+    let counters: Vec<FieldIdx> = (0..4)
         .map(|i| problem.add_global(format!("ticks_cpu{i}"), 8, 8, 1_000))
         .collect();
     // Configuration pair (hot readers).
@@ -81,12 +77,13 @@ pub fn main() {
     }
     problem.set_weight(hz, tick_ns, 500.0);
 
-    let naive = link_order_layout(&problem, 42, 128);
+    // The "link order" baseline: a seeded shuffle of the section.
+    let naive = random_layout(&problem.section(), 42, 128).expect("128 is a valid line size");
     let tuned = layout_globals(&problem, 128);
 
     let cfg = [hz, tick_ns];
-    let (t_naive, fs_naive) = replay(&problem, &naive, &counters, &cfg);
-    let (t_tuned, fs_tuned) = replay(&problem, &tuned, &counters, &cfg);
+    let (t_naive, fs_naive) = replay(&naive, &counters, &cfg);
+    let (t_tuned, fs_tuned) = replay(&tuned, &counters, &cfg);
 
     println!("layout        section bytes   makespan   false-sharing misses");
     println!(

@@ -46,7 +46,6 @@ pub fn main() {
         slopt::core::ToolParams {
             layout: LayoutOptions {
                 line_size: sdet.line_size,
-                ..Default::default()
             },
             ..Default::default()
         },

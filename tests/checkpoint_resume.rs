@@ -183,7 +183,7 @@ fn interrupted_then_resumed_run_matches_uninterrupted() {
         let text = std::fs::read_to_string(&trace_path).unwrap();
         std::fs::remove_file(&trace_path).ok();
         // The resumed trace must replay clean (balanced spans — the same
-        // validation `trace_lint` applies) and record the resume itself.
+        // validation `slopt-tool stats` applies) and record the resume itself.
         let summary = replay_str(&text).expect("resumed trace must replay clean");
         assert_eq!(summary.counters.get("ckpt.items_resumed"), Some(&5.0));
         assert!(
