@@ -50,8 +50,7 @@ cargo run --release --offline -p slopt-bench --bin fig9 -- --jobs 4 \
 cargo run --release --offline -p slopt-bench --bin fig9 -- --jobs 1 \
     --trace-out "$SMOKE_TRACE_J1" --checkpoint-dir "$SMOKE_CKPT_J1" \
     --fault-plan seed=7,transient=0.5,panic=0.2 --max-retries 16 > /dev/null
-SMOKE_DIFF="$(cargo run --release --offline -p slopt-obs --bin trace_diff -- \
-    "$SMOKE_TRACE_J1" "$SMOKE_TRACE_J4")"
+SMOKE_DIFF="$(./target/release/slopt-tool diff "$SMOKE_TRACE_J1" "$SMOKE_TRACE_J4")"
 echo "$SMOKE_DIFF" | grep -q "result: 0 structural delta(s), 0 timing breach(es)" \
     || { echo "composed smoke: serial vs fanned trace diverged:"; echo "$SMOKE_DIFF"; exit 1; }
 rm -rf "$SMOKE_CKPT_J4" "$SMOKE_CKPT_J1" "$SMOKE_TRACE_J4" "$SMOKE_TRACE_J1"
@@ -109,9 +108,20 @@ echo "== cargo bench --no-run (compile-check benches) =="
 cargo bench --no-run --offline
 
 echo "== trace lint (fig9 --trace-out round-trip) =="
+# The live --stats table and the replayed trace are one summary: their
+# counter/gauge rows must be byte-identical.
 TRACE_TMP="$(mktemp /tmp/slopt_trace.XXXXXX.jsonl)"
-cargo run --release --offline -p slopt-bench --bin fig9 -- --jobs 1 --trace-out "$TRACE_TMP" > /dev/null
-./target/release/slopt-tool stats "$TRACE_TMP" > /dev/null
+LIVE_STATS_TMP="$(mktemp /tmp/slopt_live_stats.XXXXXX.txt)"
+REPLAY_STATS_TMP="$(mktemp /tmp/slopt_replay_stats.XXXXXX.txt)"
+cargo run --release --offline -p slopt-bench --bin fig9 -- --jobs 1 --stats \
+    --trace-out "$TRACE_TMP" > "$LIVE_STATS_TMP"
+./target/release/slopt-tool stats "$TRACE_TMP" > "$REPLAY_STATS_TMP"
+grep -q '^  counter/gauge ' "$LIVE_STATS_TMP" \
+    || { echo "fig9 --stats: no counter/gauge table"; exit 1; }
+cmp <(sed -n '/^=== run stats ===$/,$p' "$LIVE_STATS_TMP" | sed -n '/^  counter\/gauge /,$p') \
+    <(sed -n '/^  counter\/gauge /,$p' "$REPLAY_STATS_TMP") \
+    || { echo "fig9: live --stats and replayed counter/gauge rows differ"; exit 1; }
+rm -f "$LIVE_STATS_TMP" "$REPLAY_STATS_TMP"
 # A trace that could not be written is an internal failure: exit 1.
 if [ -e /dev/full ]; then
     set +e
@@ -124,17 +134,17 @@ if [ -e /dev/full ]; then
     fi
 fi
 
-echo "== trace_diff determinism gate (two same-seed serial fig9 runs) =="
+echo "== trace diff determinism gate (two same-seed serial fig9 runs) =="
 # Everything deterministic in the trace — span counts, counters, workload
 # histograms — must be bit-identical between two serial runs on the same
 # seed; only timestamps (and the timing-derived gauges/span histograms
-# trace_diff already excludes) may move. Exit 0 plus an explicit zero in
+# the diff already excludes) may move. Exit 0 plus an explicit zero in
 # the result line is the gate.
 TRACE_TMP2="$(mktemp /tmp/slopt_trace2.XXXXXX.jsonl)"
 cargo run --release --offline -p slopt-bench --bin fig9 -- --jobs 1 --trace-out "$TRACE_TMP2" > /dev/null
-DIFF_OUT="$(cargo run --release --offline -p slopt-obs --bin trace_diff -- "$TRACE_TMP" "$TRACE_TMP2")"
+DIFF_OUT="$(./target/release/slopt-tool diff "$TRACE_TMP" "$TRACE_TMP2")"
 echo "$DIFF_OUT" | grep -q "result: 0 structural delta(s), 0 timing breach(es)" \
-    || { echo "trace_diff found deltas between same-seed runs:"; echo "$DIFF_OUT"; exit 1; }
+    || { echo "slopt-tool diff found deltas between same-seed runs:"; echo "$DIFF_OUT"; exit 1; }
 
 echo "== slopt-tool stats --prom (Prometheus exposition self-check) =="
 # `stats --prom` runs the exposition text through the built-in format

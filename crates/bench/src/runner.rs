@@ -38,7 +38,6 @@ use slopt_workload::{
 
 use crate::checkpoint::{fingerprint, Checkpoint, CheckpointSpec};
 use crate::memo::{self, RunMemo, RunSummary};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -438,11 +437,11 @@ pub fn measure_cells(
     );
     // Each thread's `measure_cell` time before this grid: the utilization
     // gauges below count this grid's share of it only.
-    let cell_ns_before: HashMap<u64, u64> = obs
+    let cell_us_before = obs
         .summary()
-        .span_rows("measure_cell")
-        .map(|row| (row.tid, row.total_ns))
-        .collect();
+        .thread_spans
+        .remove("measure_cell")
+        .unwrap_or_default();
     let t0 = std::time::Instant::now();
     let (memo_hits, memo_runs) = (AtomicU64::new(0), AtomicU64::new(0));
     // One grid item's simulation.
@@ -468,7 +467,7 @@ pub fn measure_cells(
         // Per-cell simulated makespan distribution. Simulated cycles are
         // a pure function of (cell, seed), so unlike the wall-clock span
         // histograms this one is bit-identical at any --jobs value and
-        // trace_diff compares it structurally.
+        // structural comparison covers it.
         obs.histogram("figure.cell_makespan", run.makespan);
         run.throughput
     };
@@ -503,17 +502,15 @@ pub fn measure_cells(
         obs.counter("runner.runs_per_cell", seeds.len() as u64);
         obs.counter("sim.memo_runs", memo_runs.into_inner());
         obs.counter("sim.memo_hits", memo_hits.into_inner());
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        if wall_ns > 0 {
-            let summary = obs.summary();
-            for row in summary.span_rows("measure_cell") {
-                let before = cell_ns_before.get(&row.tid).copied().unwrap_or(0);
-                if row.total_ns > before {
-                    obs.gauge(
-                        &format!("runner.worker{}.utilization", row.tid),
-                        (row.total_ns - before) as f64 / wall_ns as f64,
-                    );
-                }
+        let wall_us = t0.elapsed().as_secs_f64() * 1e6;
+        let busy_us = obs.summary().thread_spans.remove("measure_cell");
+        for (tid, busy) in busy_us.iter().flatten() {
+            let before = cell_us_before.get(tid).map_or(0.0, |s| s.total_us);
+            if wall_us > 0.0 && busy.total_us > before {
+                obs.gauge(
+                    &format!("runner.worker{tid}.utilization"),
+                    (busy.total_us - before) / wall_us,
+                );
             }
         }
     }
@@ -802,8 +799,8 @@ mod tests {
         assert_eq!(plain[0].runs, traced[0].runs);
         let s = obs.summary();
         // One warm-up + two measured runs for the single cell.
-        assert_eq!(s.span_count("measure_cell"), 3);
-        assert_eq!(s.span_count("measure_grid"), 1);
+        assert_eq!(s.spans["measure_cell"].count, 3);
+        assert_eq!(s.spans["measure_grid"].count, 1);
         assert_eq!(s.metrics.counter("runner.cells"), 1);
     }
 

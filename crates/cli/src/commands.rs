@@ -125,8 +125,8 @@ USAGE:
         fault-injected as in `figures`.
 
     slopt-tool stats <trace.jsonl> [--prom]
-        Replay a saved run trace and print the aggregate counter/span/
-        histogram table it implies. --prom renders the same aggregates in
+        Replay a saved run trace and print the same counter/span/histogram
+        table `--stats` prints for a live run. --prom renders it in
         Prometheus text exposition format instead (for scrapers; the
         output is self-checked before printing).
 
@@ -134,6 +134,13 @@ USAGE:
         Export a saved run trace as a folded-stack profile (FlameGraph
         collapsed format; value = self time in microseconds). Render with
         `slopt-tool flame run.jsonl | flamegraph.pl > run.svg`.
+
+    slopt-tool diff <a.jsonl> <b.jsonl> [--threshold-pct N]
+        Compare two saved run traces. Span counts, counters and workload
+        histograms must match exactly (two same-seed serial runs do);
+        per-span self time and p99 are reported for spans with at least
+        100 us of self time and, with --threshold-pct, a move of more
+        than N% fails. Exits 1 on any delta or breach.
 
     slopt-tool serve <health|advise|metrics|drain|ingest>
                      [--addr HOST:PORT | --state-dir DIR]
@@ -512,8 +519,7 @@ pub fn stats(args: &[String]) -> Result<(), CliError> {
     };
     let summary = replay_trace(path)?;
     if args.iter().any(|a| a == "--prom") {
-        let snap = slopt_obs::prom::MetricsSnapshot::from_replay(&summary);
-        let exposition = snap.to_prometheus();
+        let exposition = slopt_obs::prom::to_prometheus(&summary);
         // Self-check: never emit an exposition a scraper would reject.
         slopt_obs::prom::validate(&exposition)
             .map_err(|e| CliError::failure(format!("prometheus self-check failed: {e}")))?;
@@ -537,11 +543,111 @@ pub fn flame(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Reads and replays a saved `slopt-trace/1` run trace.
-fn replay_trace(path: &str) -> Result<slopt_obs::replay::ReplaySummary, CliError> {
+const DIFF_USAGE: &str = "usage: slopt-tool diff <a.jsonl> <b.jsonl> [--threshold-pct N]";
+
+/// Spans below this much self time on both sides are left out of the
+/// timing table: their percentages are noise.
+const MIN_SELF_US: f64 = 100.0;
+
+/// `slopt-tool diff <a.jsonl> <b.jsonl> [--threshold-pct N]`:
+/// compare two saved traces, the triage tool `perf_guard` points at.
+///
+/// * **Structural** — span completion counts, counter final values and
+///   workload histogram contents ([`slopt_obs::structural_deltas`]) must
+///   match exactly: two same-seed serial runs produce the same ones.
+/// * **Timing** — per-span self time and span-duration p99, reported for
+///   spans with at least [`MIN_SELF_US`] self time on either side, and
+///   judged only under `--threshold-pct N`: a span whose self time or
+///   p99 moved more than N% is a breach.
+///
+/// A structural delta or a breach exits 1.
+pub fn diff(args: &[String]) -> Result<(), CliError> {
+    let (_, paths) = CommonArgs::parse_positional(args, &[("--threshold-pct", true)])?;
+    let [a_path, b_path] = paths.as_slice() else {
+        return Err(CliError::usage(DIFF_USAGE));
+    };
+    let threshold_pct: Option<f64> = extra_flag(args, "--threshold-pct")?;
+    if threshold_pct.is_some_and(|t| !(t.is_finite() && t >= 0.0)) {
+        return Err(CliError::usage(
+            "--threshold-pct must be a non-negative number",
+        ));
+    }
+    let (a, b) = (replay_trace(a_path)?, replay_trace(b_path)?);
+
+    println!("trace diff: {a_path} vs {b_path}");
+    println!("structural (spans, counters, workload histograms):");
+    let deltas = slopt_obs::structural_deltas(&a, &b);
+    for delta in &deltas {
+        println!("  {delta}");
+    }
+    if deltas.is_empty() {
+        println!("  no deltas");
+    }
+
+    println!("timing (informational unless --threshold-pct):");
+    let pct = |x: f64, y: f64| match (x == 0.0, y == 0.0) {
+        (true, true) => 0.0,
+        (true, false) => f64::INFINITY,
+        _ => (y - x) / x * 100.0,
+    };
+    // Span-duration histograms are in ns; the table shows us.
+    let p99_us = |s: &slopt_obs::Summary, name: &str| {
+        s.hists
+            .get(&format!("span.{name}"))
+            .map_or(0, |h| h.quantile(0.99))
+            / 1000
+    };
+    let mut breaches = 0usize;
+    let mut header = false;
+    let names: std::collections::BTreeSet<&String> = a.spans.keys().chain(b.spans.keys()).collect();
+    for name in names {
+        let sa = a.spans.get(name).copied().unwrap_or_default();
+        let sb = b.spans.get(name).copied().unwrap_or_default();
+        if sa.self_us.max(sb.self_us) < MIN_SELF_US {
+            continue;
+        }
+        if !header {
+            println!(
+                "  {:<40} {:>12} {:>12} {:>8} {:>10} {:>10} {:>8}",
+                "span (timing)", "self_ms_a", "self_ms_b", "self%", "p99_us_a", "p99_us_b", "p99%"
+            );
+            header = true;
+        }
+        let (p99a, p99b) = (p99_us(&a, name), p99_us(&b, name));
+        let self_pct = pct(sa.self_us, sb.self_us);
+        let p99_pct = pct(p99a as f64, p99b as f64);
+        let breach = threshold_pct.is_some_and(|t| self_pct.abs() > t || p99_pct.abs() > t);
+        breaches += usize::from(breach);
+        println!(
+            "  {:<40} {:>12.3} {:>12.3} {:>7.1}% {:>10} {:>10} {:>7.1}%{}",
+            name,
+            sa.self_us / 1e3,
+            sb.self_us / 1e3,
+            self_pct,
+            p99a,
+            p99b,
+            p99_pct,
+            if breach { "  <-- over threshold" } else { "" }
+        );
+    }
+    let result = format!(
+        "{} structural delta(s), {breaches} timing breach(es)",
+        deltas.len()
+    );
+    println!("result: {result}");
+    if deltas.is_empty() && breaches == 0 {
+        Ok(())
+    } else {
+        Err(CliError::failure(format!("traces differ: {result}")))
+    }
+}
+
+/// Reads and replays a saved `slopt-trace/1` run trace. Unreadable or
+/// invalid traces are bad input.
+fn replay_trace(path: &str) -> Result<slopt_obs::Summary, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::bad_input(format!("reading {path}: {e}")))?;
-    slopt_obs::replay::replay_str(&text).map_err(|e| CliError::bad_input(format!("{path}: {e}")))
+    slopt_obs::replay_str(&text).map_err(|e| CliError::bad_input(format!("{path}: {e}")))
 }
 
 /// `slopt-tool serve` — talk to a running `slopt-serve` daemon.
@@ -755,6 +861,77 @@ mod tests {
         assert_eq!(flame(&[]).unwrap_err().code, exit::USAGE);
         let args = vec!["/nonexistent/trace.jsonl".to_string()];
         assert_eq!(flame(&args).unwrap_err().code, exit::BAD_INPUT);
+    }
+
+    /// Writes a one-run trace: a `phase` span lasting at least `busy`,
+    /// and a `widgets` counter ending at `widgets`.
+    fn write_trace(name: &str, widgets: u64, busy: std::time::Duration) -> String {
+        let path = std::env::temp_dir().join(name);
+        let obs = slopt_obs::Obs::to_trace_file(&path).unwrap();
+        {
+            let _s = obs.span("phase");
+            obs.counter("widgets", widgets);
+            std::thread::sleep(busy);
+        }
+        obs.finish();
+        path.to_string_lossy().into_owned()
+    }
+
+    /// `diff` is the CI determinism gate, so each exit code is pinned:
+    /// 0 clean, 1 on a delta or breach, 2 on misuse, 3 on a bad trace.
+    #[test]
+    fn diff_exit_codes() {
+        use std::time::Duration;
+        let a = write_trace("slopt_cli_diff_a.jsonl", 2, Duration::ZERO);
+        let same = write_trace("slopt_cli_diff_same.jsonl", 2, Duration::ZERO);
+        let other = write_trace("slopt_cli_diff_other.jsonl", 3, Duration::ZERO);
+        let slow = write_trace("slopt_cli_diff_slow.jsonl", 2, Duration::from_millis(1));
+        let slower = write_trace("slopt_cli_diff_slower.jsonl", 2, Duration::from_millis(3));
+        let bad = std::env::temp_dir().join("slopt_cli_diff_bad.jsonl");
+        std::fs::write(&bad, "{not a trace\n").unwrap();
+        let bad = bad.to_string_lossy().into_owned();
+
+        diff(&strs(&[&a, &same])).unwrap();
+        diff(&strs(&[&a, &same, "--threshold-pct", "1e12"])).unwrap();
+        let err = diff(&strs(&[&a, &other])).unwrap_err();
+        assert_eq!(err.code, exit::FAILURE);
+        assert!(
+            err.message.contains("1 structural delta(s)"),
+            "{}",
+            err.message
+        );
+        // Timing is informational until a threshold is set; the 1 ms and
+        // 3 ms spans then breach a 0% one.
+        diff(&strs(&[&slow, &slower])).unwrap();
+        let err = diff(&strs(&[&slow, &slower, "--threshold-pct", "0"])).unwrap_err();
+        assert_eq!(err.code, exit::FAILURE);
+        assert!(
+            err.message
+                .contains("0 structural delta(s), 1 timing breach(es)"),
+            "{}",
+            err.message
+        );
+
+        for misuse in [
+            vec![a.as_str()],
+            vec![a.as_str(), same.as_str(), other.as_str()],
+            vec![a.as_str(), same.as_str(), "--threshold-pct", "-1"],
+            vec![a.as_str(), same.as_str(), "--threshold-pct", "x"],
+            vec![a.as_str(), same.as_str(), "--min-self-us", "5"],
+        ] {
+            assert_eq!(
+                diff(&strs(&misuse)).unwrap_err().code,
+                exit::USAGE,
+                "{misuse:?}"
+            );
+        }
+        assert_eq!(diff(&strs(&[&a, &bad])).unwrap_err().code, exit::BAD_INPUT);
+        let missing = diff(&strs(&[&a, "/nonexistent/trace.jsonl"])).unwrap_err();
+        assert_eq!(missing.code, exit::BAD_INPUT);
+
+        for path in [a, same, other, slow, slower, bad] {
+            let _ = std::fs::remove_file(path);
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! slopt-tool search [--stress | --program FILE] [--seed S] [--jobs N]
 //! slopt-tool stats <trace.jsonl> [--prom]
 //! slopt-tool flame <trace.jsonl>
+//! slopt-tool diff <a.jsonl> <b.jsonl> [--threshold-pct N]
 //! slopt-tool serve <health|advise|metrics|drain|ingest> [--addr HOST:PORT]
 //! slopt-tool help
 //! ```
@@ -47,6 +48,7 @@ fn main() -> ExitCode {
         "search" => commands::search(rest),
         "stats" => commands::stats(rest),
         "flame" => commands::flame(rest),
+        "diff" => commands::diff(rest),
         "serve" => commands::serve(rest),
         "help" | "--help" | "-h" => {
             commands::print_help();

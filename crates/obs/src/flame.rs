@@ -1,6 +1,6 @@
 //! Folded-stack (FlameGraph collapsed) export.
 //!
-//! Renders the [`crate::replay::ReplaySummary::folded`] profile as one
+//! Renders the [`crate::Summary::folded`] profile as one
 //! line per distinct span stack — `outer;mid;leaf 412` — the input format
 //! of Brendan Gregg's `flamegraph.pl` and of `inferno-flamegraph`, so any
 //! `slopt-trace/1` file turns into a flamegraph with
@@ -13,15 +13,15 @@
 //! byte-identical and two same-seed serial runs differ only in the value
 //! column (timestamps are the one nondeterministic trace ingredient).
 
-use crate::replay::ReplaySummary;
+use crate::Summary;
 
-/// Renders the folded-stack profile of a replayed trace, one
+/// Renders the folded-stack profile of a run, one
 /// `path;to;frame <self_us>` line per stack, sorted by path.
 ///
 /// Self time is rounded to whole microseconds; stacks that round to zero
 /// are still emitted (with value 0) so the stack *structure* of a trace
 /// is fully preserved for golden tests.
-pub fn folded(summary: &ReplaySummary) -> String {
+pub fn folded(summary: &Summary) -> String {
     let mut out = String::new();
     for (path, self_us) in &summary.folded {
         out.push_str(path);
@@ -34,7 +34,7 @@ pub fn folded(summary: &ReplaySummary) -> String {
 
 /// The stack paths alone (no values), one per line, sorted — the
 /// timestamp-independent skeleton golden tests pin.
-pub fn folded_stacks_only(summary: &ReplaySummary) -> String {
+pub fn folded_stacks_only(summary: &Summary) -> String {
     let mut out = String::new();
     for path in summary.folded.keys() {
         out.push_str(path);

@@ -22,7 +22,7 @@
 //!
 //! The relative error of a log2 bucket is at most 2×, which is the right
 //! trade for profiling: "p99 regressed from the 1 ms bucket to the 4 ms
-//! bucket" is the question `trace_diff` answers; sub-bucket precision
+//! bucket" is the question `slopt-tool diff` answers; sub-bucket precision
 //! would cost unbounded memory or determinism.
 
 use std::fmt;
@@ -169,13 +169,16 @@ impl Histogram {
     }
 
     /// Rebuilds a histogram from `(bucket index, cumulative count)` pairs
-    /// plus exact min/max, the inverse of [`Histogram::nonzero_buckets`].
-    /// Returns `None` if the pairs are malformed (index out of range or
-    /// descending, cumulative counts non-increasing).
+    /// plus its exact min, max and sum, the inverse of
+    /// [`Histogram::nonzero_buckets`]. Returns `None` if the pairs are
+    /// malformed (index out of range or descending, cumulative counts
+    /// non-increasing) or, when non-empty, `min` is not in the first
+    /// bucket, `max` not in the last, or `min > max`.
     pub fn from_cumulative_buckets(
         pairs: &[(usize, u64)],
         min: u64,
         max: u64,
+        sum: u64,
     ) -> Option<Histogram> {
         let mut h = Histogram::new();
         let mut prev_idx: Option<usize> = None;
@@ -184,18 +187,18 @@ impl Histogram {
             if i >= BUCKETS || prev_idx.is_some_and(|p| p >= i) || cum <= prev_cum {
                 return None;
             }
-            let delta = cum - prev_cum;
-            h.counts[i] = delta;
-            // Representative value for the sum: the bucket upper bound
-            // (the sum is advisory after a round-trip; counts are exact).
-            h.sum = h.sum.saturating_add(bucket_upper(i).saturating_mul(delta));
-            h.count = h.count.saturating_add(delta);
+            h.counts[i] = cum - prev_cum;
             prev_idx = Some(i);
             prev_cum = cum;
         }
-        if h.count > 0 {
+        h.count = prev_cum;
+        if let (Some(&(first, _)), Some(&(last, _))) = (pairs.first(), pairs.last()) {
+            if min > max || bucket_index(min) != first || bucket_index(max) != last {
+                return None;
+            }
             h.min = min;
             h.max = max;
+            h.sum = sum;
         }
         Some(h)
     }
@@ -338,27 +341,27 @@ mod tests {
         }
         let pairs = h.nonzero_buckets();
         assert_eq!(pairs.last().unwrap().1, h.count());
-        let back = Histogram::from_cumulative_buckets(&pairs, h.min(), h.max()).unwrap();
-        assert_eq!(back.bucket_counts(), h.bucket_counts());
-        assert_eq!(back.count(), h.count());
-        assert_eq!(back.min(), h.min());
-        assert_eq!(back.max(), h.max());
-        // Quantiles survive the round trip (they only need counts+bounds).
-        for q in [0.5, 0.9, 0.99] {
-            assert_eq!(back.quantile(q), h.quantile(q));
-        }
+        let back = Histogram::from_cumulative_buckets(&pairs, h.min(), h.max(), h.sum()).unwrap();
+        assert_eq!(back, h);
     }
 
     #[test]
     fn from_cumulative_rejects_malformed() {
+        let rebuild = |pairs: &[(usize, u64)], min, max| {
+            Histogram::from_cumulative_buckets(pairs, min, max, 0)
+        };
         // Descending indices.
-        assert!(Histogram::from_cumulative_buckets(&[(3, 1), (2, 2)], 0, 9).is_none());
+        assert!(rebuild(&[(3, 1), (2, 2)], 4, 3).is_none());
         // Non-increasing cumulative counts.
-        assert!(Histogram::from_cumulative_buckets(&[(1, 2), (2, 2)], 0, 9).is_none());
+        assert!(rebuild(&[(1, 2), (2, 2)], 1, 3).is_none());
         // Out-of-range bucket.
-        assert!(Histogram::from_cumulative_buckets(&[(65, 1)], 0, 9).is_none());
+        assert!(rebuild(&[(65, 1)], 1, 1).is_none());
+        // min/max outside the end buckets, or min above max.
+        assert!(rebuild(&[(1, 2), (9, 3)], 0, 300).is_none());
+        assert!(rebuild(&[(1, 2), (9, 3)], 1, 9).is_none());
+        assert!(rebuild(&[(4, 2)], 12, 9).is_none());
         // Valid sparse form.
-        assert!(Histogram::from_cumulative_buckets(&[(1, 2), (9, 3)], 1, 300).is_some());
+        assert!(rebuild(&[(1, 2), (9, 3)], 1, 300).is_some());
     }
 
     #[test]

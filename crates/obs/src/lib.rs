@@ -7,8 +7,10 @@
 //!   every operation is a single branch, so instrumented code paths cost
 //!   nothing measurable when nobody asked for telemetry. This is the
 //!   default everywhere.
-//! * **Enabled** it aggregates [`Metrics`] (counters/gauges) and per-span
-//!   wall-clock timings, and forwards every event to an [`ObsSink`]:
+//! * **Enabled** it folds every event into a [`Summary`] (counters,
+//!   gauges, span timings with self time, histograms, folded stacks) —
+//!   the same fold [`replay_str`] runs over a saved trace — and forwards
+//!   every event to an [`ObsSink`]:
 //!   [`NullSink`] (aggregate only, for `--stats`), [`TraceSink`]
 //!   (`slopt-trace/1` JSONL for `--trace-out`, loadable in Perfetto), or
 //!   [`MemorySink`] (tests).
@@ -43,18 +45,22 @@ pub mod metrics;
 pub mod prom;
 pub mod replay;
 pub mod sink;
+pub mod summary;
 pub mod trace;
 
 pub use histogram::{HistSummary, Histogram};
 pub use metrics::Metrics;
-pub use replay::{lint_str, replay_str, structural_deltas, ReplaySummary, SpanStats, TraceError};
+pub use replay::{lint_str, replay_str, TraceError};
 pub use sink::{MemorySink, NullSink, ObsSink, TraceEvent};
+pub use summary::{structural_deltas, SpanStats, Summary};
 pub use trace::{TraceSink, SCHEMA};
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
+
+use summary::Fold;
 
 /// State shared by all clones of one enabled [`Obs`] handle.
 struct Shared {
@@ -64,21 +70,13 @@ struct Shared {
 }
 
 struct State {
-    metrics: Metrics,
+    /// The run's aggregates, built by the same fold trace replay uses.
+    fold: Fold,
     sink: Box<dyn ObsSink>,
     /// OS thread → dense tid, assigned in first-emission order (the main
     /// thread emits first, so it is always tid 0; a `--jobs 1` run never
     /// leaves tid 0).
     tids: HashMap<ThreadId, u64>,
-    /// Open-span depth per dense tid.
-    depth: Vec<u64>,
-    /// Completed-span aggregation keyed by (name, tid).
-    spans: BTreeMap<(String, u64), SpanAgg>,
-    /// Per-span-name duration histograms (ns), fed on every guard drop.
-    /// Keyed by the span's `&'static str` name so drops never allocate.
-    span_hists: BTreeMap<&'static str, Histogram>,
-    /// Workload-level value histograms fed via [`Obs::histogram`].
-    hists: BTreeMap<String, Histogram>,
     /// Scratch buffer for composed metric names (`warn.<x>`,
     /// `span.<x>`), reused across calls so hot paths do not allocate.
     name_buf: String,
@@ -86,20 +84,10 @@ struct State {
     summarized: bool,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct SpanAgg {
-    count: u64,
-    total_ns: u64,
-}
-
 impl State {
     fn tid(&mut self) -> u64 {
         let next = self.tids.len() as u64;
-        let tid = *self.tids.entry(std::thread::current().id()).or_insert(next);
-        if self.depth.len() <= tid as usize {
-            self.depth.resize(tid as usize + 1, 0);
-        }
-        tid
+        *self.tids.entry(std::thread::current().id()).or_insert(next)
     }
 }
 
@@ -132,13 +120,9 @@ impl Obs {
             shared: Some(Arc::new(Shared {
                 t0: Instant::now(),
                 state: Mutex::new(State {
-                    metrics: Metrics::new(),
+                    fold: Fold::default(),
                     sink,
                     tids: HashMap::new(),
-                    depth: Vec::new(),
-                    spans: BTreeMap::new(),
-                    span_hists: BTreeMap::new(),
-                    hists: BTreeMap::new(),
                     name_buf: String::new(),
                     summarized: false,
                 }),
@@ -184,7 +168,7 @@ impl Obs {
         let ts = Self::ts_us(shared, start);
         let mut st = shared.state.lock().unwrap();
         let tid = st.tid();
-        st.depth[tid as usize] += 1;
+        st.fold.begin(tid, name, ts);
         st.sink.begin_span(tid, name, ts);
         drop(st);
         SpanGuard {
@@ -202,7 +186,8 @@ impl Obs {
         let ts = Self::ts_us(shared, Instant::now());
         let mut st = shared.state.lock().unwrap();
         let tid = st.tid();
-        let value = st.metrics.add(name, delta);
+        let value = st.fold.summary.metrics.counter(name).saturating_add(delta);
+        st.fold.counter(name, value);
         st.sink.counter(tid, name, value as f64, ts);
     }
 
@@ -226,7 +211,7 @@ impl Obs {
         let mut st = shared.state.lock().unwrap();
         let tid = st.tid();
         let State {
-            metrics,
+            fold,
             sink,
             name_buf,
             ..
@@ -234,7 +219,8 @@ impl Obs {
         name_buf.clear();
         name_buf.push_str("warn.");
         name_buf.push_str(name);
-        let value = metrics.add(name_buf, count);
+        let value = fold.summary.metrics.counter(name_buf).saturating_add(count);
+        fold.counter(name_buf, value);
         sink.counter(tid, name_buf, value as f64, ts);
     }
 
@@ -243,13 +229,13 @@ impl Obs {
     /// Gauges are point-in-time readings (worker utilization, queue
     /// depth); unlike counters and histograms they are *not* expected to
     /// be deterministic across runs, so the trace sink tags them and
-    /// `trace_diff` skips them during structural comparison.
+    /// `structural_deltas` skips them.
     pub fn gauge(&self, name: &str, value: f64) {
         let Some(shared) = &self.shared else { return };
         let ts = Self::ts_us(shared, Instant::now());
         let mut st = shared.state.lock().unwrap();
         let tid = st.tid();
-        st.metrics.set_gauge(name, value);
+        st.fold.gauge(name, value);
         st.sink.gauge(tid, name, value, ts);
     }
 
@@ -262,18 +248,8 @@ impl Obs {
         let ts = Self::ts_us(shared, Instant::now());
         let mut st = shared.state.lock().unwrap();
         let tid = st.tid();
-        let State { hists, sink, .. } = &mut *st;
-        // get_mut-then-insert instead of entry() so the steady state
-        // (histogram already exists) never allocates the key.
-        match hists.get_mut(name) {
-            Some(h) => h.record(value),
-            None => {
-                let mut h = Histogram::new();
-                h.record(value);
-                hists.insert(name.to_string(), h);
-            }
-        }
-        sink.hist_value(tid, name, value, ts);
+        st.fold.record(name, value);
+        st.sink.hist_value(tid, name, value, ts);
     }
 
     /// A snapshot of everything aggregated so far.
@@ -281,29 +257,7 @@ impl Obs {
         let Some(shared) = &self.shared else {
             return Summary::default();
         };
-        let st = shared.state.lock().unwrap();
-        let mut hists: BTreeMap<String, Histogram> = st
-            .hists
-            .iter()
-            .map(|(name, h)| (name.clone(), h.clone()))
-            .collect();
-        for (name, h) in &st.span_hists {
-            hists.insert(format!("span.{name}"), h.clone());
-        }
-        Summary {
-            metrics: st.metrics.clone(),
-            spans: st
-                .spans
-                .iter()
-                .map(|((name, tid), agg)| SpanRow {
-                    name: name.clone(),
-                    tid: *tid,
-                    count: agg.count,
-                    total_ns: agg.total_ns,
-                })
-                .collect(),
-            hists,
-        }
+        shared.state.lock().unwrap().fold.summary.clone()
     }
 
     /// The sink's first write error, taken once — `None` when every
@@ -322,32 +276,21 @@ impl Obs {
 
     /// Emits one `S` summary event per histogram (span-duration
     /// histograms under `span.<name>`, workload histograms under their
-    /// own name), then flushes the sink. Call once at end of run; the
-    /// summary emission is guarded so repeated calls only re-flush.
+    /// own name, in name order), then flushes the sink. Call once at end
+    /// of run; the summary emission is guarded so repeated calls only
+    /// re-flush.
     pub fn finish(&self) {
         if let Some(shared) = &self.shared {
             let ts = Self::ts_us(shared, Instant::now());
             let mut st = shared.state.lock().unwrap();
-            let tid = st.tid();
-            if !st.summarized {
-                st.summarized = true;
-                let State {
-                    span_hists,
-                    hists,
-                    sink,
-                    name_buf,
-                    ..
-                } = &mut *st;
-                for (name, h) in span_hists.iter() {
-                    name_buf.clear();
-                    name_buf.push_str("span.");
-                    name_buf.push_str(name);
-                    sink.hist_summary(tid, name_buf, h, ts);
-                }
-                for (name, h) in hists.iter() {
+            if !st.summarized && !st.fold.summary.hists.is_empty() {
+                let tid = st.tid();
+                let State { fold, sink, .. } = &mut *st;
+                for (name, h) in &fold.summary.hists {
                     sink.hist_summary(tid, name, h, ts);
                 }
             }
+            st.summarized = true;
             st.sink.flush();
         }
     }
@@ -377,130 +320,21 @@ impl Drop for SpanGuard {
         let ts = Obs::ts_us(shared, now);
         let dur_ns = now.duration_since(start).as_nanos() as u64;
         let mut st = shared.state.lock().unwrap();
-        st.sink.end_span(self.tid, self.name, ts);
-        let agg = st
-            .spans
-            .entry((self.name.to_string(), self.tid))
-            .or_default();
-        agg.count += 1;
-        agg.total_ns += dur_ns;
-        st.span_hists.entry(self.name).or_default().record(dur_ns);
-        let d = &mut st.depth[self.tid as usize];
-        *d = d.saturating_sub(1);
-    }
-}
-
-/// One (span name, thread) aggregate row in a [`Summary`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanRow {
-    /// Span name.
-    pub name: String,
-    /// Dense thread id the completions ran on.
-    pub tid: u64,
-    /// Completed B/E pairs.
-    pub count: u64,
-    /// Total wall-clock nanoseconds across completions.
-    pub total_ns: u64,
-}
-
-/// Snapshot of an enabled handle's aggregates: the metrics registry plus
-/// per-(span, thread) timing rows. `Display` renders the human `--stats`
-/// table.
-#[derive(Clone, Debug, Default)]
-pub struct Summary {
-    /// Counters and gauges.
-    pub metrics: Metrics,
-    /// Span timing rows, ordered by (name, tid).
-    pub spans: Vec<SpanRow>,
-    /// Histograms: workload histograms under their own name, span
-    /// duration histograms (ns) under `span.<name>`.
-    pub hists: BTreeMap<String, Histogram>,
-}
-
-impl Summary {
-    /// The named histogram, if any values were recorded into it.
-    /// Span-duration histograms live under `span.<name>`.
-    pub fn hist(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
-    }
-
-    /// Rows for one span name (one per thread that ran it).
-    pub fn span_rows<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SpanRow> {
-        self.spans.iter().filter(move |r| r.name == name)
-    }
-
-    /// Total nanoseconds spent in `name` across all threads.
-    pub fn span_total_ns(&self, name: &str) -> u64 {
-        self.span_rows(name).map(|r| r.total_ns).sum()
-    }
-
-    /// Total completions of `name` across all threads.
-    pub fn span_count(&self, name: &str) -> u64 {
-        self.span_rows(name).map(|r| r.count).sum()
-    }
-
-    /// Sum of all `warn.*` counters — the run's recoverable-anomaly
-    /// count (skipped shards, torn checkpoint lines, …). Zero on a
-    /// clean run.
-    pub fn warning_total(&self) -> u64 {
-        self.metrics
-            .counters()
-            .filter(|(name, _)| name.starts_with("warn."))
-            .map(|(_, v)| v)
-            .sum()
-    }
-}
-
-impl std::fmt::Display for Summary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if !self.spans.is_empty() {
-            writeln!(
-                f,
-                "  {:<40} {:>8} {:>12} {:>12}",
-                "span", "count", "total_ms", "mean_ms"
-            )?;
-            // Collapse per-thread rows by name for the human table; the
-            // per-thread split is still available programmatically.
-            let mut by_name: BTreeMap<&str, SpanAgg> = BTreeMap::new();
-            for r in &self.spans {
-                let agg = by_name.entry(&r.name).or_default();
-                agg.count += r.count;
-                agg.total_ns += r.total_ns;
-            }
-            for (name, agg) in by_name {
-                let total_ms = agg.total_ns as f64 / 1e6;
-                let mean_ms = if agg.count > 0 {
-                    total_ms / agg.count as f64
-                } else {
-                    0.0
-                };
-                writeln!(
-                    f,
-                    "  {:<40} {:>8} {:>12.3} {:>12.3}",
-                    name, agg.count, total_ms, mean_ms
-                )?;
-            }
-        }
-        if !self.hists.is_empty() {
-            writeln!(
-                f,
-                "  {:<40} {:>8} {:>12} {:>12} {:>12} {:>12}",
-                "histogram", "count", "p50", "p90", "p99", "max"
-            )?;
-            for (name, h) in &self.hists {
-                let s = h.summary();
-                writeln!(
-                    f,
-                    "  {:<40} {:>8} {:>12} {:>12} {:>12} {:>12}",
-                    name, s.count, s.p50, s.p90, s.p99, s.max
-                )?;
-            }
-        }
-        if !self.metrics.is_empty() {
-            writeln!(f, "  {:<40} {:>14}", "counter/gauge", "value")?;
-            write!(f, "{}", self.metrics)?;
-        }
-        Ok(())
+        let State {
+            fold,
+            sink,
+            name_buf,
+            ..
+        } = &mut *st;
+        sink.end_span(self.tid, self.name, ts);
+        // Guards drop LIFO per thread unless the caller drops one out of
+        // order; the trace then carries the same mismatch, which replay
+        // rejects, and the aggregate leaves the span open.
+        let _ = fold.end(self.tid, self.name, ts);
+        name_buf.clear();
+        name_buf.push_str("span.");
+        name_buf.push_str(self.name);
+        fold.record(name_buf, dur_ns);
     }
 }
 
@@ -564,9 +398,10 @@ mod tests {
         .collect();
         assert_eq!(seq, want);
         let s = obs.summary();
-        assert_eq!(s.span_count("inner"), 3);
-        assert_eq!(s.span_count("outer"), 1);
-        assert!(s.span_total_ns("outer") >= s.span_total_ns("inner"));
+        assert_eq!(s.spans["inner"].count, 3);
+        assert_eq!(s.spans["outer"].count, 1);
+        assert!(s.spans["outer"].total_us >= s.spans["inner"].total_us);
+        assert!(s.folded.contains_key("outer;inner"));
     }
 
     #[test]
@@ -584,6 +419,8 @@ mod tests {
         drop(got);
         assert_eq!(obs.summary().metrics.counter("n"), 5);
         assert_eq!(obs.summary().metrics.gauge("g"), Some(0.5));
+        obs.counter("n", u64::MAX);
+        assert_eq!(obs.summary().metrics.counter("n"), u64::MAX, "saturates");
     }
 
     #[test]
@@ -622,7 +459,7 @@ mod tests {
         assert!(depth.values().all(|&d| d == 0));
         drop(got);
         assert_eq!(obs.summary().metrics.counter("items"), 3);
-        assert_eq!(obs.summary().span_count("worker"), 3);
+        assert_eq!(obs.summary().spans["worker"].count, 3);
     }
 
     #[test]
@@ -653,10 +490,10 @@ mod tests {
         obs.histogram("cc.interval_cells", 900);
         obs.histogram("flg.objective", 7);
         let s = obs.summary();
-        let h = s.hist("cc.interval_cells").unwrap();
+        let h = &s.hists["cc.interval_cells"];
         assert_eq!(h.count(), 2);
         assert_eq!((h.min(), h.max()), (3, 900));
-        assert_eq!(s.hist("flg.objective").unwrap().count(), 1);
+        assert_eq!(s.hists["flg.objective"].count(), 1);
         let got = events.lock().unwrap();
         let hs: Vec<_> = got.iter().filter(|e| e.ph == 'H').collect();
         assert_eq!(hs.len(), 3);
@@ -671,10 +508,16 @@ mod tests {
             let _g = obs.span("phase_a");
         }
         let s = obs.summary();
-        let h = s.hist("span.phase_a").unwrap();
-        assert_eq!(h.count(), 5);
-        let sum = s.span_total_ns("phase_a");
-        assert_eq!(h.sum(), sum);
+        assert_eq!(s.hists["span.phase_a"].count(), 5);
+        assert_eq!(s.spans["phase_a"].count, 5);
+        // The histogram (ns) and the span total (us) time the same
+        // begin/end instants, so they agree up to f64 rounding.
+        let hist_us = s.hists["span.phase_a"].sum() as f64 / 1e3;
+        assert!(
+            (hist_us - s.spans["phase_a"].total_us).abs() < 1e-3 * 5.0,
+            "{hist_us} vs {}",
+            s.spans["phase_a"].total_us
+        );
     }
 
     #[test]
@@ -734,7 +577,7 @@ mod tests {
         let text = obs.summary().to_string();
         assert!(text.contains("phase_a"));
         assert!(text.contains("widgets"));
-        assert!(text.contains("total_ms"));
+        assert!(text.contains("self_ms"));
     }
 
     #[test]

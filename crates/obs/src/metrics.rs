@@ -3,7 +3,7 @@
 //! A [`Metrics`] value is owned by whoever created the [`crate::Obs`]
 //! handle — there is no process-global state, so two pipelines running in
 //! the same process (e.g. parallel tests) cannot contaminate each other's
-//! numbers. Counters are monotonic `u64` sums; gauges are last-write-wins
+//! numbers. Counters hold cumulative `u64` totals; gauges are last-write-wins
 //! `f64` readings (utilization ratios, makespans).
 
 use std::collections::BTreeMap;
@@ -26,15 +26,15 @@ impl Metrics {
         Self::default()
     }
 
-    /// Adds `delta` to the counter `name` (creating it at zero), returning
-    /// the new cumulative value. Saturates instead of wrapping.
-    pub fn add(&mut self, name: &str, delta: u64) -> u64 {
-        let slot = match self.counters.get_mut(name) {
-            Some(v) => v,
-            None => self.counters.entry(name.to_string()).or_insert(0),
-        };
-        *slot = slot.saturating_add(delta);
-        *slot
+    /// Sets the counter `name` to the cumulative `value` (a replayed `C`
+    /// event carries the total, not the increment).
+    pub fn set_counter(&mut self, name: &str, value: u64) {
+        match self.counters.get_mut(name) {
+            Some(v) => *v = value,
+            None => {
+                self.counters.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Sets the gauge `name` to `value` (last write wins).
@@ -71,17 +71,6 @@ impl Metrics {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty()
     }
-
-    /// Folds another registry into this one: counters add, gauges take the
-    /// other side's value. Used when aggregating per-worker registries.
-    pub fn merge(&mut self, other: &Metrics) {
-        for (name, v) in other.counters() {
-            self.add(name, v);
-        }
-        for (name, v) in other.gauges() {
-            self.set_gauge(name, v);
-        }
-    }
 }
 
 impl fmt::Display for Metrics {
@@ -101,19 +90,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
+    fn counters_hold_the_latest_total() {
         let mut m = Metrics::new();
-        assert_eq!(m.add("a.b", 3), 3);
-        assert_eq!(m.add("a.b", 4), 7);
+        m.set_counter("a.b", 3);
+        m.set_counter("a.b", 7);
         assert_eq!(m.counter("a.b"), 7);
         assert_eq!(m.counter("missing"), 0);
-    }
-
-    #[test]
-    fn counters_saturate_instead_of_wrapping() {
-        let mut m = Metrics::new();
-        m.add("x", u64::MAX - 1);
-        assert_eq!(m.add("x", 5), u64::MAX);
     }
 
     #[test]
@@ -126,26 +108,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counters_and_overwrites_gauges() {
-        let mut a = Metrics::new();
-        a.add("c", 1);
-        a.set_gauge("g", 1.0);
-        let mut b = Metrics::new();
-        b.add("c", 2);
-        b.add("d", 9);
-        b.set_gauge("g", 2.0);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.counter("d"), 9);
-        assert_eq!(a.gauge("g"), Some(2.0));
-    }
-
-    #[test]
     fn iteration_is_name_ordered() {
         let mut m = Metrics::new();
-        m.add("z", 1);
-        m.add("a", 1);
-        m.add("m", 1);
+        m.set_counter("z", 1);
+        m.set_counter("a", 1);
+        m.set_counter("m", 1);
         let names: Vec<&str> = m.counters().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["a", "m", "z"]);
     }

@@ -1,13 +1,11 @@
 //! Prometheus text-format exposition.
 //!
-//! [`MetricsSnapshot`] is the bridge between the profiling layer and
-//! anything that scrapes: it freezes counters, gauges and histograms from
-//! either a live [`crate::Summary`] or a replayed trace
-//! ([`crate::replay::ReplaySummary`]) and renders the Prometheus
-//! [text exposition format](https://prometheus.io/docs/instrumenting/exposition_formats/)
-//! (`slopt-tool stats --prom`, and the API the future `slopt-serve`
-//! daemon will expose on `/metrics`). Histograms keep their exact log2
-//! cumulative bucket counts, which map 1:1 onto Prometheus `le` series.
+//! [`to_prometheus`] renders a run's [`Summary`] — from a live handle or a
+//! replayed trace, which are the same type — in the Prometheus
+//! [text exposition format](https://prometheus.io/docs/instrumenting/exposition_formats/):
+//! `slopt-tool stats --prom` and the `slopt-serve` daemon's `/metrics`.
+//! Histograms keep their exact log2 cumulative bucket counts, which map
+//! 1:1 onto Prometheus `le` series.
 //!
 //! [`validate`] is the self-check CI pipes the exposition through: it
 //! re-parses the rendered text and rejects undeclared samples, malformed
@@ -16,33 +14,10 @@
 use std::collections::BTreeMap;
 
 use crate::histogram::bucket_upper;
-use crate::replay::ReplaySummary;
 use crate::Summary;
 
 /// All metric names are prefixed with this namespace in the exposition.
 pub const NAMESPACE: &str = "slopt";
-
-/// One frozen histogram, in the cumulative-bucket form Prometheus wants.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct HistSnapshot {
-    /// `(inclusive upper bound, cumulative count)` pairs, ascending.
-    pub buckets: Vec<(u64, u64)>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: f64,
-}
-
-/// A frozen, renderable view of one run's metrics.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Monotonic counters.
-    pub counters: BTreeMap<String, f64>,
-    /// Point-in-time gauges.
-    pub gauges: BTreeMap<String, f64>,
-    /// Histograms (span durations under `span.<name>`).
-    pub hists: BTreeMap<String, HistSnapshot>,
-}
 
 /// Maps an internal metric name (`cc.interval_cells`,
 /// `span.measure_cell`) to a legal Prometheus name: the `slopt_`
@@ -62,87 +37,33 @@ pub fn sanitize(name: &str) -> String {
     out
 }
 
-impl MetricsSnapshot {
-    /// Freezes a live [`Summary`] (the `--stats` aggregate).
-    pub fn from_summary(s: &Summary) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        for (name, v) in s.metrics.counters() {
-            snap.counters.insert(name.to_string(), v as f64);
-        }
-        for (name, v) in s.metrics.gauges() {
-            snap.gauges.insert(name.to_string(), v);
-        }
-        for (name, h) in &s.hists {
-            let buckets = h
-                .nonzero_buckets()
-                .into_iter()
-                .map(|(i, cum)| (bucket_upper(i), cum))
-                .collect();
-            snap.hists.insert(
-                name.clone(),
-                HistSnapshot {
-                    buckets,
-                    count: h.count(),
-                    sum: h.sum() as f64,
-                },
-            );
-        }
-        snap
+/// Renders the Prometheus text exposition of `s`'s counters, gauges and
+/// histograms (span durations under `span.<name>`). Deterministic:
+/// metrics are emitted in name order, one `# TYPE` comment per family.
+pub fn to_prometheus(s: &Summary) -> String {
+    let mut out = String::new();
+    for (name, v) in s.metrics.counters() {
+        let n = sanitize(name);
+        out.push_str(&format!("# TYPE {n} counter\n"));
+        out.push_str(&format!("{n} {}\n", fmt_value(v as f64)));
     }
-
-    /// Freezes a replayed trace (`slopt-tool stats --prom <file>`).
-    pub fn from_replay(s: &ReplaySummary) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        for (name, v) in &s.counters {
-            snap.counters.insert(name.clone(), *v);
-        }
-        for (name, v) in &s.gauges {
-            snap.gauges.insert(name.clone(), *v);
-        }
-        for (name, h) in &s.hists {
-            let buckets = h
-                .buckets
-                .iter()
-                .map(|&(i, cum)| (bucket_upper(i), cum))
-                .collect();
-            snap.hists.insert(
-                name.clone(),
-                HistSnapshot {
-                    buckets,
-                    count: h.count,
-                    sum: h.sum,
-                },
-            );
-        }
-        snap
+    for (name, v) in s.metrics.gauges() {
+        let n = sanitize(name);
+        out.push_str(&format!("# TYPE {n} gauge\n"));
+        out.push_str(&format!("{n} {}\n", fmt_value(v)));
     }
-
-    /// Renders the Prometheus text exposition. Deterministic: metrics are
-    /// emitted in name order, one `# TYPE` comment per family.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} counter\n"));
-            out.push_str(&format!("{n} {}\n", fmt_value(*v)));
+    for (name, h) in &s.hists {
+        let n = sanitize(name);
+        out.push_str(&format!("# TYPE {n} histogram\n"));
+        for (i, cum) in h.nonzero_buckets() {
+            let upper = bucket_upper(i);
+            out.push_str(&format!("{n}_bucket{{le=\"{upper}\"}} {cum}\n"));
         }
-        for (name, v) in &self.gauges {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} gauge\n"));
-            out.push_str(&format!("{n} {}\n", fmt_value(*v)));
-        }
-        for (name, h) in &self.hists {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} histogram\n"));
-            for (upper, cum) in &h.buckets {
-                out.push_str(&format!("{n}_bucket{{le=\"{upper}\"}} {cum}\n"));
-            }
-            out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-            out.push_str(&format!("{n}_sum {}\n", fmt_value(h.sum)));
-            out.push_str(&format!("{n}_count {}\n", h.count));
-        }
-        out
+        out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
+        out.push_str(&format!("{n}_sum {}\n", fmt_value(h.sum() as f64)));
+        out.push_str(&format!("{n}_count {}\n", h.count()));
     }
+    out
 }
 
 fn fmt_value(v: f64) -> String {
@@ -304,8 +225,7 @@ mod tests {
         obs.gauge("runner.worker0.utilization", 0.75);
         obs.histogram("cc.interval_cells", 3);
         obs.histogram("cc.interval_cells", 900);
-        let snap = MetricsSnapshot::from_summary(&obs.summary());
-        let text = snap.to_prometheus();
+        let text = to_prometheus(&obs.summary());
         assert!(text.contains("# TYPE slopt_cc_pairs counter"));
         assert!(text.contains("slopt_cc_pairs 41"));
         assert!(text.contains("# TYPE slopt_runner_worker0_utilization gauge"));
@@ -353,8 +273,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_snapshot_renders_empty_and_validates() {
-        let text = MetricsSnapshot::default().to_prometheus();
+    fn empty_summary_renders_empty_and_validates() {
+        let text = to_prometheus(&Summary::default());
         assert!(text.is_empty());
         assert_eq!(validate(&text).unwrap(), 0);
     }

@@ -50,7 +50,7 @@ pub trait ObsSink: Send {
     /// Gauge `name` sampled at `value`. Gauges are point-in-time readings
     /// (often timing-derived, e.g. worker utilization) and are therefore
     /// *not* expected to be deterministic across runs; sinks that persist
-    /// them should tag them so `trace_diff` can exclude them from
+    /// them should tag them so `structural_deltas` can exclude them from
     /// structural comparison. Defaults to the counter path.
     fn gauge(&mut self, tid: u64, name: &str, value: f64, ts_us: f64) {
         self.counter(tid, name, value, ts_us);

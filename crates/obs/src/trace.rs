@@ -127,9 +127,9 @@ impl ObsSink for TraceSink {
 
     fn gauge(&mut self, tid: u64, name: &str, value: f64, ts_us: f64) {
         // Same wire shape as a counter, plus a "gauge":true marker so
-        // `trace_diff` knows the value is a point-in-time (usually
-        // timing-derived, hence nondeterministic) reading and excludes it
-        // from structural comparison.
+        // replay keeps it a gauge: a point-in-time (usually
+        // timing-derived, hence nondeterministic) reading that structural
+        // comparison excludes.
         let v = if value.fract() == 0.0 && value.abs() < 9e15 {
             format!("{}", value as i64)
         } else {

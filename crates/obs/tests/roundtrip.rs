@@ -1,7 +1,8 @@
-//! End-to-end: an instrumented run writes a trace file, and replay/lint
-//! recover the same aggregates the live handle reports.
+//! End-to-end: an instrumented run writes a trace file, and replaying it
+//! folds the same `Summary` the live handle reports.
 
-use slopt_obs::{replay_str, Obs};
+use slopt_obs::prom::to_prometheus;
+use slopt_obs::{replay_str, structural_deltas, Obs};
 
 #[test]
 fn trace_file_roundtrips_through_replay() {
@@ -33,35 +34,45 @@ fn trace_file_roundtrips_through_replay() {
     let text = std::fs::read_to_string(&path).unwrap();
     let replayed = replay_str(&text).unwrap();
 
-    // Counter totals and span counts agree between live and replayed views.
-    assert_eq!(
-        replayed.counters.get("work.items").copied(),
-        Some(live.metrics.counter("work.items") as f64)
-    );
+    // Live equals replay: structurally, in the Prometheus rendering, and
+    // in every aggregate that does not depend on timestamp rounding.
+    assert_eq!(structural_deltas(&live, &replayed), Vec::<String>::new());
+    assert_eq!(to_prometheus(&live), to_prometheus(&replayed));
+    assert_eq!(live.metrics, replayed.metrics);
+    assert_eq!(live.hists, replayed.hists);
+    assert!(live
+        .thread_spans
+        .iter()
+        .map(|(name, by_tid)| (name, by_tid.keys().collect::<Vec<_>>()))
+        .eq(replayed
+            .thread_spans
+            .iter()
+            .map(|(name, by_tid)| (name, by_tid.keys().collect::<Vec<_>>()))));
+    assert!(live.folded.keys().eq(replayed.folded.keys()));
+    for (name, s) in &live.spans {
+        let r = replayed.spans[name];
+        assert_eq!(s.count, r.count);
+        // The trace stores timestamps to 1 ns.
+        assert!((s.total_us - r.total_us).abs() <= 0.002 * s.count as f64);
+    }
+
     assert_eq!(live.metrics.counter("work.items"), 1 + 2 + 3 + 4 + 5);
     // Gauges are tagged on the wire and replay into their own table.
-    assert_eq!(replayed.gauges.get("work.util").copied(), Some(0.5));
-    assert!(!replayed.counters.contains_key("work.util"));
-    assert_eq!(replayed.spans["step"].count, live.span_count("step"));
+    assert_eq!(replayed.metrics.gauge("work.util"), Some(0.5));
+    assert_eq!(replayed.spans["step"].count, 4);
     assert_eq!(replayed.spans["run"].count, 1);
-    assert_eq!(replayed.spans["worker"].count, 1);
-    // Two threads emitted: main (0) and the worker (1).
-    assert_eq!(replayed.tids, vec![0, 1]);
-
-    // Histogram summaries survive the round trip exactly: the replayed
-    // S event matches the live histogram's counts and quantiles.
-    let live_hist = live.hist("work.cost").unwrap();
-    let rep = &replayed.hists["work.cost"];
-    assert_eq!(rep.count, live_hist.count());
-    assert_eq!(rep.buckets, live_hist.nonzero_buckets());
-    let s = live_hist.summary();
-    assert_eq!((rep.min, rep.max), (s.min, s.max));
-    assert_eq!((rep.p50, rep.p90, rep.p99), (s.p50, s.p90, s.p99));
+    // Two threads closed spans: main (0) and the worker (1).
+    let tids: Vec<u64> = replayed
+        .thread_spans
+        .values()
+        .flat_map(|by_tid| by_tid.keys().copied())
+        .collect::<std::collections::BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    assert_eq!(tids, [0, 1]);
+    assert_eq!(replayed.thread_spans["worker"][&1].count, 1);
     // Span-duration histograms were summarized too, with matching counts.
-    assert_eq!(
-        replayed.hists["span.step"].count,
-        replayed.spans["step"].count
-    );
+    assert_eq!(replayed.hists["span.step"].count(), 4);
     // Self time: "run" contains "step" spans, so its self time is below
     // its inclusive time; leaf spans have self == total.
     assert!(replayed.spans["run"].self_us <= replayed.spans["run"].total_us);

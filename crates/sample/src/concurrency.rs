@@ -160,8 +160,8 @@ impl ConcurrencyMap {
 
     /// Assembles a map from an interner and a normalized
     /// `(min_id, max_id) -> cc` pair map. Used by the final fold
-    /// (`finish_cells`) and the snapshot loader ([`crate::snapshot`]);
-    /// callers must guarantee keys are normalized and non-zero.
+    /// (`finish_cells`) and [`concurrency_map_reference`]; callers must
+    /// guarantee keys are normalized and non-zero.
     pub(crate) fn from_parts(interner: LineInterner, map: HashMap<(u32, u32), u64>) -> Self {
         debug_assert!(map.iter().all(|(&(a, b), &cc)| a <= b && cc > 0));
         ConcurrencyMap { interner, map }

@@ -141,7 +141,7 @@ impl Shared {
     }
 
     fn metrics_text(&self) -> String {
-        slopt_obs::prom::MetricsSnapshot::from_summary(&self.obs.summary()).to_prometheus()
+        slopt_obs::prom::to_prometheus(&self.obs.summary())
     }
 }
 

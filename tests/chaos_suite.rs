@@ -159,29 +159,15 @@ fn transient_chaos_is_invisible_in_the_figure() {
         let text = std::fs::read_to_string(&trace).unwrap();
         std::fs::remove_file(&trace).ok();
         let summary = replay_str(&text).expect("chaos trace must replay clean");
+        assert!(summary.metrics.counter("retry.attempts") > 0);
+        assert!(summary.metrics.counter("retry.recovered") > 0);
         assert!(
             summary
-                .counters
-                .get("retry.attempts")
-                .copied()
-                .unwrap_or(0.0)
-                > 0.0
-        );
-        assert!(
-            summary
-                .counters
-                .get("retry.recovered")
-                .copied()
-                .unwrap_or(0.0)
-                > 0.0
-        );
-        assert!(
-            summary
-                .counters
-                .keys()
-                .any(|k| k.starts_with("warn.fault.injected.")),
-            "injections must surface as warnings: {:?}",
-            summary.counters.keys().collect::<Vec<_>>()
+                .metrics
+                .counters()
+                .any(|(k, _)| k.starts_with("warn.fault.injected.")),
+            "injections must surface as warnings: {}",
+            summary.metrics
         );
     }
 }
@@ -216,10 +202,8 @@ fn permanent_faults_hole_cells_and_report_them() {
     let text = std::fs::read_to_string(&trace).unwrap();
     std::fs::remove_file(&trace).ok();
     let summary = replay_str(&text).expect("degraded trace must still replay clean");
-    assert!(summary.counters.contains_key("warn.fault.poisoned"));
-    assert!(summary
-        .counters
-        .contains_key("warn.fault.injected.permanent"));
+    assert!(summary.metrics.counter("warn.fault.poisoned") > 0);
+    assert!(summary.metrics.counter("warn.fault.injected.permanent") > 0);
 }
 
 /// The same permanent plan produces the same holes and the same report
@@ -381,21 +365,16 @@ fn resume_under_transient_chaos_traces_the_recovery() {
     let text = std::fs::read_to_string(&trace).unwrap();
     std::fs::remove_file(&trace).ok();
     let summary = replay_str(&text).expect("resumed chaos trace must replay clean");
-    let resumed = summary
-        .counters
-        .get("ckpt.items_resumed")
-        .copied()
-        .unwrap_or(0.0);
     assert!(
-        resumed > 0.0,
-        "the resumed run must reuse checkpointed items: {:?}",
-        summary.counters.keys().collect::<Vec<_>>()
+        summary.metrics.counter("ckpt.items_resumed") > 0,
+        "the resumed run must reuse checkpointed items: {}",
+        summary.metrics
     );
     assert!(
         summary
-            .counters
-            .keys()
-            .any(|k| k.starts_with("warn.fault.injected.")),
+            .metrics
+            .counters()
+            .any(|(k, _)| k.starts_with("warn.fault.injected.")),
         "the plan must keep firing on the recomputed items"
     );
     std::fs::remove_dir_all(&dir).unwrap();

@@ -17,13 +17,14 @@
 //! * obs-on points write traces whose structural content (span counts,
 //!   counters, warnings, histogram totals) is identical for `jobs = 1`
 //!   and `jobs = 4` at the same capability combination, via
-//!   [`slopt::obs::replay::structural_deltas`];
+//!   [`slopt::obs::structural_deltas`], and replay to the same summary
+//!   the live handle holds;
 //! * checkpoint-on points converge bit-identically after the item log is
 //!   truncated mid-stream (torn tail included) and the run resumes.
 
 use slopt::ir::SupervisePolicy;
-use slopt::obs::replay::{replay_str, structural_deltas, ReplaySummary};
-use slopt::obs::Obs;
+use slopt::obs::prom::to_prometheus;
+use slopt::obs::{replay_str, structural_deltas, Obs, Summary};
 use slopt::sim::CacheConfig;
 use slopt::workload::{baseline_layouts, build_kernel, Kernel, Machine, SdetConfig};
 use slopt_bench::{
@@ -114,7 +115,7 @@ struct PointResult {
     bits: Bits,
     degraded: bool,
     /// The replayed trace, when the point ran with obs on.
-    summary: Option<ReplaySummary>,
+    summary: Option<Summary>,
 }
 
 /// Runs one lattice point over its own ExecCtx and returns the
@@ -141,7 +142,12 @@ fn run_point(
     ctx.finish().expect("trace written");
     let summary = trace_path.map(|path| {
         let text = std::fs::read_to_string(path).expect("trace file");
-        replay_str(&text).expect("valid trace")
+        let replayed = replay_str(&text).expect("valid trace");
+        // Live equals replay: the handle and the trace fold one summary.
+        let live = ctx.obs.summary();
+        assert_eq!(structural_deltas(&live, &replayed), Vec::<String>::new());
+        assert_eq!(to_prometheus(&live), to_prometheus(&replayed));
+        replayed
     });
 
     // The shared complete-vs-degraded decision, exactly as the bins take
@@ -229,7 +235,7 @@ fn the_24_point_capability_lattice_is_behavior_identical() {
         "the permanent plan must hole some cells and spare others (holes: {holes:?})"
     );
 
-    let mut summaries: HashMap<(bool, Fault, usize), ReplaySummary> = HashMap::new();
+    let mut summaries: HashMap<(bool, Fault, usize), Summary> = HashMap::new();
     for obs_on in [false, true] {
         for ckpt_on in [false, true] {
             for fault in FAULTS {

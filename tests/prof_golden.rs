@@ -92,10 +92,12 @@ fn workload_histograms_are_jobs_invariant() {
     let (_, fanned) = traced_fig9_derivation("j4", 4);
     for name in ["cc.interval_cells", "flg.objective_milli"] {
         let a = serial
-            .hist(name)
+            .hists
+            .get(name)
             .unwrap_or_else(|| panic!("{name} missing"));
         let b = fanned
-            .hist(name)
+            .hists
+            .get(name)
             .unwrap_or_else(|| panic!("{name} missing"));
         assert_eq!(a, b, "histogram `{name}` differs between jobs 1 and 4");
         assert_eq!(a.summary(), b.summary());
