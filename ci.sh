@@ -258,18 +258,18 @@ echo "== perf_report --quick --jobs 4 (refresh BENCH_sim.json) + perf_guard =="
 BASELINE_TMP="$(mktemp /tmp/slopt_bench_baseline.XXXXXX.json)"
 cp BENCH_sim.json "$BASELINE_TMP"
 cargo run --release --offline -p slopt-bench --bin perf_report -- --quick --jobs 4
-# Growth floors: streamed CC must beat the retained batch reference 2x,
+# Growth floors: the CC kernel must beat the retained batch reference 2x,
 # the delta move scorer must beat a full canonical recompute 20x (it is
-# serial, so never host-core-skipped), and the parallel streamed fold
-# must show 3x at jobs=4. The parallel floor is host-core-aware:
+# serial, so never host-core-skipped), and the CC fold fanned over
+# --jobs must show 3x at jobs=4. The parallel floor is host-core-aware:
 # perf_guard enforces it only when the measuring host reports >= 4 cores
 # (wall-clock speedup is physically capped below that) and prints a
 # SKIPPED note otherwise.
 cargo run --release --offline -p slopt-bench --bin perf_guard -- BENCH_sim.json \
     --baseline "$BASELINE_TMP" \
-    --require-speedup cc_stream:2.0 \
+    --require-speedup cc:2.0 \
     --require-speedup search_delta:20 \
-    --require-parallel cc_stream:3.0
+    --require-parallel cc:3.0
 rm -f "$BASELINE_TMP"
 
 echo "== slopt-serve soak smoke (daemon + 3 faulted collectors, drain, kill-9/resume) =="

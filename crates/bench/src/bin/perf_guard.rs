@@ -38,8 +38,8 @@
 //!
 //! Usage:
 //! `perf_guard <fresh.json> --baseline <old.json> [--tolerance 0.10]
-//!  [--floor-s 0.05] [--require-speedup cc_stream:2.0]...
-//!  [--require-parallel cc_stream:3.0]...`
+//!  [--floor-s 0.05] [--require-speedup cc:2.0]...
+//!  [--require-parallel cc:3.0]...`
 
 use slopt_bench::extra_flag;
 use slopt_obs::json::{parse, Json};

@@ -1,33 +1,20 @@
 //! `perf_report` — the self-reporting performance harness.
 //!
-//! Runs four microbenches over the repo's hot paths, each old-vs-new
+//! Runs three microbenches over the repo's hot paths, each old-vs-new
 //! against the retained reference implementations on identical seeds, and
 //! writes `BENCH_sim.json`:
 //!
-//! 1. **cc_stream** — sharded streaming Code Concurrency
-//!    (`shard_concurrency` over `slopt-shard/1` files) vs the *retained*
-//!    batch reference `concurrency_map_reference` (the frozen flat
-//!    count-tensor pipeline) over the materialized sample vector. The
-//!    current batch `concurrency_map` shares its kernel with the
-//!    streaming path, so measuring against it would compare the new code
-//!    to itself; the frozen reference keeps the old-vs-new story honest.
-//!    Streamed, batch, reference and naive maps are all asserted
-//!    bit-identical. Runs *first*, and its `peak_rss_kb` is sampled
-//!    *before* the reference materializes the samples: because Linux
-//!    `VmHWM` is a process-lifetime high-water mark, this is the only
-//!    ordering under which the streamed figure reflects streaming alone.
-//!    The bench also records `batch_peak_rss_kb` (sampled after the
-//!    reference reps) so the report carries the peak-memory comparison
-//!    the streaming path exists for.
-//! 2. **cc** — `concurrency_map` (the blocked kernel) vs the frozen
+//! 1. **cc** — `concurrency_map` (the blocked kernel) vs the frozen
 //!    perf baseline `concurrency_map_reference` (the flat count-tensor
 //!    pipeline) on one synthetic sample stream. `concurrency_map_naive`
 //!    (triple-nested maps) is the test oracle: asserted equal once,
-//!    never timed.
-//! 3. **flg_cluster** — dense triangular `Flg` construction + greedy
+//!    never timed. The parallel column folds the same stream through
+//!    `StreamingConcurrency::ingest` and `finish(--jobs)`, asserted
+//!    bit-identical to the serial map.
+//! 2. **flg_cluster** — dense triangular `Flg` construction + greedy
 //!    clustering vs the hash-map `FlgRef` through the same generic
 //!    `cluster`.
-//! 4. **search_delta** — the annealing search's incremental
+//! 3. **search_delta** — the annealing search's incremental
 //!    `DeltaObjective` (`score_move` per proposal, `apply` on the
 //!    accepted ones) vs what a no-delta search pays: cloning the
 //!    clustering and re-running the full `clustering_score` on **every**
@@ -41,9 +28,9 @@
 //!
 //! Every comparison asserts bit-identical results before timing is
 //! trusted; an equivalence failure aborts with a non-zero exit. Speedups
-//! are reported, not enforced. The streamed CC bench is also measured
-//! with its fold fanned over `--jobs N` host threads, to record the
-//! parallel speedup alongside the serial numbers. Whole simulations have
+//! are reported, not enforced. The CC bench is also measured with its
+//! fold fanned over `--jobs N` host threads, to record the parallel
+//! speedup alongside the serial numbers. Whole simulations have
 //! no bench here: the end-to-end benchmark (`benchmark/`) reports the
 //! simulator's cost per access.
 //!
@@ -76,6 +63,7 @@ use slopt_ir::source::SourceLine;
 use slopt_ir::types::{FieldIdx, FieldType, PrimType, RecordId, RecordType};
 use slopt_sample::{
     concurrency_map, concurrency_map_naive, concurrency_map_reference, ConcurrencyConfig, Sample,
+    StreamingConcurrency,
 };
 use slopt_sim::CpuId;
 use std::time::Instant;
@@ -117,7 +105,7 @@ struct BenchResult {
     /// Per-rep wall clock of the reference implementation, serial.
     reference_s: Vec<f64>,
     /// Total wall clock of all dense reps fanned over `--jobs` threads
-    /// (`cc_stream` only; `None` elsewhere).
+    /// (`cc` only; `None` elsewhere).
     dense_jobs_s: Option<f64>,
     jobs: usize,
     /// Peak resident set size (Linux `VmHWM`, kB) sampled right after the
@@ -125,10 +113,6 @@ struct BenchResult {
     /// process-lifetime high-water mark, so per-bench values are
     /// monotonically non-decreasing in run order.
     peak_rss_kb: Option<u64>,
-    /// `cc_stream` only: the high-water mark after the batch reference
-    /// materialized the full sample vector (the figure `peak_rss_kb`
-    /// deliberately excludes).
-    batch_peak_rss_kb: Option<u64>,
     /// `search_delta` only: per-proposal cost ratio of the full-rescore
     /// reference over delta evaluation (the number `perf_guard` floors).
     delta_full_ratio: Option<f64>,
@@ -198,123 +182,6 @@ fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (v, t0.elapsed().as_secs_f64())
 }
 
-// ------------------------------------------------------------- cc_stream
-
-fn bench_cc_stream(args: &Args) -> BenchResult {
-    // Same stream shape as the batch `cc` bench, but the samples are
-    // generated shard by shard and never held in memory at once: peak
-    // working set is one shard plus the sorted cell run. Quick mode keeps
-    // its wall clock by shrinking the sample count, not the rep count —
-    // the trimmed mean needs ≥ 5 reps to be meaningful.
-    let (n, intervals, shard_size) = if args.quick {
-        (40_960usize, 80u64, 8_192usize)
-    } else {
-        (600_000, 1_000, 32_768)
-    };
-    let cfg = ConcurrencyConfig { interval: 1_000 };
-    let span = intervals * cfg.interval;
-    let reps = if args.quick { 6 } else { 5 };
-
-    let dir = std::env::temp_dir().join(format!("slopt_perf_ccstream_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create shard dir");
-    let n_shards = n.div_ceil(shard_size);
-    for i in 0..n_shards {
-        let count = shard_size.min(n - i * shard_size);
-        let mut chunk = synth_samples(count, 16, 400, span, 0xCC57 + i as u64);
-        chunk.sort_by_key(|s| s.time);
-        slopt_sample::write_shard(&dir.join(slopt_sample::shard_file_name(i)), &chunk)
-            .expect("write shard");
-    }
-
-    let mut dense_s = Vec::new();
-    let mut streamed = None;
-    for _ in 0..reps {
-        let (out, td) = time(|| {
-            slopt_sample::shard_concurrency(&dir, cfg, 1, &slopt_obs::Obs::disabled())
-                .expect("stream")
-        });
-        dense_s.push(td);
-        assert_eq!(out.1.samples as usize, n, "stream must ingest every sample");
-        assert_eq!(out.1.shards_skipped, 0, "no shard may be skipped");
-        streamed = Some(out.0);
-    }
-    let streamed = streamed.expect("at least one rep");
-    // Fanned finish, for the parallel column; must be bit-identical. The
-    // equivalence check sorts every non-zero pair, which at --quick scale
-    // costs more than the fold itself — asserting outside the timed
-    // region keeps the parallel column about the fold, like the serial
-    // column above.
-    let (fanned, jobs_total) = time(|| {
-        (0..reps)
-            .map(|_| {
-                slopt_sample::shard_concurrency(&dir, cfg, args.jobs, &slopt_obs::Obs::disabled())
-                    .expect("stream")
-                    .0
-            })
-            .collect::<Vec<_>>()
-    });
-    for out in &fanned {
-        assert_eq!(
-            out.pairs(),
-            streamed.pairs(),
-            "streaming diverged across --jobs"
-        );
-    }
-
-    // Sample the high-water mark *before* the batch reference materializes
-    // the full sample vector — VmHWM never goes back down.
-    let stream_rss = peak_rss_kb();
-
-    let mut reference_s = Vec::new();
-    let mut samples = Vec::with_capacity(n);
-    for i in 0..n_shards {
-        let count = shard_size.min(n - i * shard_size);
-        samples.extend(synth_samples(count, 16, 400, span, 0xCC57 + i as u64));
-    }
-    samples.sort_by_key(|s| s.time);
-    // Timed old-vs-new: the frozen tensor-pipeline reference. The
-    // current batch path shares the blocked kernel with streaming, so
-    // it is checked for equivalence but not used as the baseline.
-    for _ in 0..reps {
-        let (reference, tr) = time(|| concurrency_map_reference(&samples, &cfg));
-        reference_s.push(tr);
-        assert_eq!(
-            streamed.pairs(),
-            reference.pairs(),
-            "streamed and reference concurrency maps disagree"
-        );
-    }
-    // Full equivalence chain, once: streamed ≡ batch ≡ naive.
-    let batch = concurrency_map(&samples, &cfg);
-    assert_eq!(
-        streamed.pairs(),
-        batch.pairs(),
-        "streamed and batch concurrency maps disagree"
-    );
-    let naive = concurrency_map_naive(&samples, &cfg);
-    assert_eq!(
-        batch.pairs(),
-        naive.pairs(),
-        "batch and naive concurrency maps disagree"
-    );
-    let batch_rss = peak_rss_kb();
-    let _ = std::fs::remove_dir_all(&dir);
-
-    BenchResult {
-        name: "cc_stream",
-        work: format!("{n} samples, {n_shards} shards of {shard_size}, {intervals} intervals"),
-        reps,
-        dense_s,
-        reference_s,
-        dense_jobs_s: Some(jobs_total),
-        jobs: args.jobs,
-        peak_rss_kb: stream_rss,
-        batch_peak_rss_kb: batch_rss,
-        delta_full_ratio: None,
-    }
-}
-
 // -------------------------------------------------------------------- cc
 
 /// Deterministic synthetic sample stream: `cpus` CPUs sampled across
@@ -368,16 +235,33 @@ fn bench_cc(args: &Args) -> BenchResult {
         concurrency_map_naive(&samples, &cfg).pairs(),
         "dense and naive concurrency maps disagree"
     );
+    // The parallel column: the same stream folded into the streaming
+    // cell store and finished over `--jobs` threads. It must be
+    // bit-identical to the serial map; the check sits outside the timed
+    // region, so the column times the fold alone.
+    let mut jobs_total = 0.0;
+    for _ in 0..reps {
+        let (fanned, tj) = time(|| {
+            let mut stream = StreamingConcurrency::new(cfg);
+            stream.ingest(&samples);
+            stream.finish(args.jobs, &slopt_obs::Obs::disabled())
+        });
+        jobs_total += tj;
+        assert_eq!(
+            fanned.pairs(),
+            dense_pairs,
+            "the fanned fold diverged from the serial map"
+        );
+    }
     BenchResult {
         name: "cc",
         work: format!("{n} samples, 16 cpus, 400 lines, {intervals} intervals"),
         reps,
         dense_s,
         reference_s,
-        dense_jobs_s: None,
+        dense_jobs_s: Some(jobs_total),
         jobs: args.jobs,
         peak_rss_kb: peak_rss_kb(),
-        batch_peak_rss_kb: None,
         delta_full_ratio: None,
     }
 }
@@ -443,7 +327,6 @@ fn bench_flg_cluster(args: &Args) -> BenchResult {
         dense_jobs_s: None,
         jobs: args.jobs,
         peak_rss_kb: peak_rss_kb(),
-        batch_peak_rss_kb: None,
         delta_full_ratio: None,
     }
 }
@@ -579,7 +462,6 @@ fn bench_search_delta(args: &Args) -> BenchResult {
         dense_jobs_s: None,
         jobs: args.jobs,
         peak_rss_kb: peak_rss_kb(),
-        batch_peak_rss_kb: None,
         delta_full_ratio: None,
     };
     r.delta_full_ratio = Some(r.speedup());
@@ -636,9 +518,6 @@ fn write_report(path: &str, args: &Args, results: &[BenchResult]) -> std::io::Re
         if let Some(kb) = r.peak_rss_kb {
             fields.push(format!("      \"peak_rss_kb\": {kb}"));
         }
-        if let Some(kb) = r.batch_peak_rss_kb {
-            fields.push(format!("      \"batch_peak_rss_kb\": {kb}"));
-        }
         if let Some(jp) = r.dense_jobs_s {
             fields.push(format!("      \"jobs\": {}", r.jobs));
             fields.push(format!("      \"dense_jobs_total_s\": {jp:.6}"));
@@ -673,9 +552,6 @@ fn main() {
     eprintln!("[perf_report] quick={} jobs={}", args.quick, args.jobs);
 
     let results = vec![
-        // cc_stream must run first: VmHWM only ever rises, so its peak-RSS
-        // figure is meaningful only before any other bench allocates.
-        bench_cc_stream(&args),
         bench_cc(&args),
         bench_flg_cluster(&args),
         bench_search_delta(&args),
@@ -697,16 +573,6 @@ fn main() {
                 r.jobs,
                 jp,
                 r.dense_total() / jp
-            );
-        }
-        if let (Some(stream), Some(batch)) = (r.peak_rss_kb, r.batch_peak_rss_kb) {
-            eprintln!(
-                "[perf_report] {:<12} peak RSS streamed {stream} kB vs batch {batch} kB",
-                r.name
-            );
-            assert!(
-                stream < batch,
-                "streamed CC peak RSS must stay strictly below batch"
             );
         }
     }

@@ -350,4 +350,67 @@ mod tests {
         assert_eq!(ck.get(0), None);
         fs::remove_dir_all(&spec.dir).unwrap();
     }
+
+    mod never_panics {
+        use super::*;
+        use proptest::prelude::*;
+
+        const ITEMS: usize = 6;
+
+        /// One log line after the header: a valid item, an index at or
+        /// past `ITEMS`, a short value, a non-hex value, bytes that are
+        /// not UTF-8, or eight arbitrary bytes.
+        fn line(kind: usize, idx: usize, bits: u64) -> Vec<u8> {
+            match kind {
+                0 => format!("item {} {bits:016x}", idx % ITEMS).into_bytes(),
+                1 => format!("item {} {bits:016x}", ITEMS + idx % 1000).into_bytes(),
+                2 => format!("item {} {:x}", idx % ITEMS, bits >> 8).into_bytes(),
+                3 => format!("item {idx} zz{:014x}", bits >> 8).into_bytes(),
+                4 => vec![b'i', 0xff, 0xfe, 0x80],
+                _ => bits.to_le_bytes().to_vec(),
+            }
+        }
+
+        proptest! {
+            /// Resuming from a valid header followed by any lines, with
+            /// or without a torn tail, opens or fails with
+            /// `InvalidData`, never a panic. An open that succeeds
+            /// rewrites the log canonically: a second resume finds the
+            /// same items and no torn line.
+            #[test]
+            fn resume_is_total_on_arbitrary_logs(
+                lines in prop::collection::vec((0usize..6, any::<usize>(), any::<u64>()), 0..10),
+                torn in any::<bool>(),
+                tear in any::<usize>(),
+            ) {
+                let spec = temp_spec("never_panics", true);
+                let _ = fs::remove_dir_all(&spec.dir);
+                fs::create_dir_all(&spec.dir).unwrap();
+                let mut log = format!("{CKPT_SCHEMA} name=grid items={ITEMS} fp={:016x}\n", 1)
+                    .into_bytes();
+                let header_len = log.len();
+                for (kind, idx, bits) in lines {
+                    log.extend(line(kind, idx, bits));
+                    log.push(b'\n');
+                }
+                if torn {
+                    log.truncate(header_len + tear % (log.len() - header_len + 1));
+                }
+                fs::write(spec.dir.join("grid.ckpt"), &log).unwrap();
+                match Checkpoint::open(&spec, "grid", ITEMS, 1) {
+                    Ok(ck) => {
+                        prop_assert!(ck.resumed() <= ITEMS);
+                        let again = Checkpoint::open(&spec, "grid", ITEMS, 1).unwrap();
+                        prop_assert_eq!(again.resumed(), ck.resumed());
+                        prop_assert!(!again.dropped_torn_line());
+                        for i in 0..ITEMS {
+                            prop_assert_eq!(again.get(i).map(f64::to_bits), ck.get(i).map(f64::to_bits));
+                        }
+                    }
+                    Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+                }
+                fs::remove_dir_all(&spec.dir).unwrap();
+            }
+        }
+    }
 }

@@ -584,8 +584,9 @@ fn interval_minsum_sparse(cells: &[Cell], scratch: &mut MinsumScratch, acc: &mut
 
 /// Below this many distinct cells the final fold stays serial: spawning
 /// workers and merging their triangular accumulators dominates the fold
-/// itself on small inputs. The quick `cc_stream` workload (~40k cells)
-/// lands under the threshold; the full one (~570k cells) stays parallel.
+/// itself on small inputs. The quick `perf_report` `cc` stream (60k
+/// samples, so at most 60k cells) lands under the threshold; the full
+/// one (600k samples) stays parallel.
 pub(crate) const PARALLEL_FINISH_MIN_CELLS: usize = 1 << 17;
 
 /// The final fold of every path (batch, streaming, windowed): turns
@@ -604,7 +605,7 @@ pub(crate) const PARALLEL_FINISH_MIN_CELLS: usize = 1 << 17;
 ///
 /// Folds smaller than [`PARALLEL_FINISH_MIN_CELLS`] run serially: thread
 /// fan-out plus the pairwise accumulator merge cost more than the fold
-/// itself on small inputs (the quick `cc_stream` bench regressed to a
+/// itself on small inputs (a 40k-cell streamed fold regressed to a
 /// 0.49× "speedup" at `jobs = 4`), and since grouping never changes the
 /// result, clamping `jobs` is invisible outside wall-clock time.
 pub(crate) fn finish_cells(
@@ -832,7 +833,7 @@ pub(crate) fn interval_minsum_reference(
 /// intervals are interned, counts are bucketed into a flat
 /// `[interval × cpu × line]` tensor, and each interval's block runs
 /// through [`interval_minsum_reference`]. Used by the kernel-equivalence
-/// property tests and by `perf_report`'s cc/cc_stream benches as the
+/// property tests and by `perf_report`'s `cc` bench as the
 /// frozen old-vs-new baseline. Produces a map equal to
 /// [`concurrency_map`]'s, bit for bit.
 ///

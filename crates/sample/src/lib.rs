@@ -18,9 +18,12 @@
 //! The output of step 3 is the negative-edge input of the Field Layout
 //! Graph built in `slopt-core`.
 //!
-//! For production-scale traces, [`shard`] replaces the in-memory trace
-//! with fixed-size on-disk shards and a bounded-memory
-//! [`StreamingConcurrency`] fold that is bit-identical to step 2.
+//! For traces that arrive in pieces, [`shard`] carries samples as
+//! `slopt-shard/1` shards and folds them with the bounded-memory
+//! [`StreamingConcurrency`] (bit-identical to step 2) or the sliding
+//! [`WindowedConcurrency`] of the `slopt-serve` daemon, whose
+//! [`WindowedConcurrency::ingest_dir`] is the one fold over a shard
+//! directory.
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -37,7 +40,6 @@ pub use concurrency::{
 pub use cycleloss::{cycle_loss, cycle_loss_filtered, cycle_loss_weighted, CycleLossMap};
 pub use sampler::{ExactCounter, Sample, Sampler, SamplerConfig};
 pub use shard::{
-    decode_shard, encode_shard, read_shard, shard_concurrency, shard_file_name, shard_files,
-    write_shard, write_shards, ShardError, ShardIngestStats, ShardReader, StreamingConcurrency,
-    WindowedConcurrency,
+    decode_shard, encode_shard, read_shard, shard_files, write_shard, ShardError,
+    StreamingConcurrency, WindowedConcurrency,
 };

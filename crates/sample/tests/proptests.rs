@@ -6,8 +6,8 @@ use slopt_ir::cfg::{BlockId, FuncId};
 use slopt_ir::source::SourceLine;
 use slopt_obs::Obs;
 use slopt_sample::{
-    concurrency_map, concurrency_map_naive, concurrency_map_reference, read_shard,
-    shard_concurrency, write_shards, ConcurrencyConfig, Sample, Sampler, SamplerConfig,
+    concurrency_map, concurrency_map_naive, concurrency_map_reference, decode_shard, encode_shard,
+    read_shard, write_shard, ConcurrencyConfig, Sample, Sampler, SamplerConfig,
     StreamingConcurrency, WindowedConcurrency,
 };
 use slopt_sim::{CpuId, Observer};
@@ -34,6 +34,68 @@ fn case_dir(tag: &str) -> std::path::PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Writes `samples`, time-sorted, under `dir` as `write_shard` files
+/// whose record counts cycle through `sizes`; returns the paths in
+/// write (= path) order.
+fn write_chunked(
+    dir: &std::path::Path,
+    samples: &[Sample],
+    sizes: &[usize],
+) -> Vec<std::path::PathBuf> {
+    std::fs::create_dir_all(dir).unwrap();
+    let mut sorted = samples.to_vec();
+    sorted.sort_by_key(|s| s.time);
+    let mut paths = Vec::new();
+    let mut rest = &sorted[..];
+    for &size in sizes.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (chunk, tail) = rest.split_at(size.min(rest.len()));
+        let path = dir.join(format!("shard-{:05}.slshard", paths.len()));
+        write_shard(&path, chunk).unwrap();
+        paths.push(path);
+        rest = tail;
+    }
+    paths
+}
+
+/// The decoder is total: any input decodes or fails with a typed
+/// error, and a decoded shard re-encodes to an image that decodes to
+/// the same samples.
+fn assert_decode_is_total(bytes: &[u8]) {
+    if let Ok(samples) = decode_shard(bytes) {
+        let again = encode_shard(&samples).expect("decoded samples are time-sorted");
+        assert_eq!(decode_shard(&again).unwrap(), samples);
+    }
+}
+
+/// One single edit of a valid shard image: truncate at `at`, flip the
+/// byte at `at`, overwrite the record count with `value`, or swap two
+/// records.
+fn edit_shard(mut bytes: Vec<u8>, kind: usize, at: usize, value: u32) -> Vec<u8> {
+    const HEADER: usize = 32;
+    const RECORD: usize = 24;
+    match kind {
+        0 => bytes.truncate(at % (bytes.len() + 1)),
+        1 => {
+            let i = at % bytes.len();
+            bytes[i] ^= (value as u8).max(1);
+        }
+        2 => bytes[12..16].copy_from_slice(&value.to_le_bytes()),
+        _ => {
+            let records = (bytes.len() - HEADER) / RECORD;
+            if records >= 2 {
+                let (a, b) = (at % records, value as usize % records);
+                for k in 0..RECORD {
+                    bytes.swap(HEADER + a * RECORD + k, HEADER + b * RECORD + k);
+                }
+            }
+        }
+    }
+    bytes
 }
 
 proptest! {
@@ -141,14 +203,14 @@ proptest! {
         }
     }
 
-    /// The tentpole differential: streaming sharded ingestion — any shard
-    /// size, any `jobs` fan-out — is bit-identical to both the batch
-    /// dense estimator and the naive nested-map formula on the same
-    /// samples. Covers the full triangle batch ≡ streamed ≡ naive.
+    /// The shard-directory fold ([`WindowedConcurrency::ingest_dir`]),
+    /// over shard files of any sizes, in a window that cannot evict, is
+    /// bit-identical to both the batch dense estimator and the naive
+    /// nested-map formula on the same samples, at any `jobs` fan-out.
     #[test]
     fn sharded_streaming_matches_batch_and_naive(
         samples in prop::collection::vec((0u16..6, 0u64..20_000, 0u32..12), 0..250),
-        shard_size in 1usize..40,
+        sizes in prop::collection::vec(1usize..40, 1..6),
         jobs in 1usize..6,
         interval_pick in 0usize..3,
     ) {
@@ -157,13 +219,14 @@ proptest! {
         let cfg = ConcurrencyConfig { interval: [100u64, 1_000, 7_919][interval_pick] };
 
         let dir = case_dir("stream");
-        std::fs::create_dir_all(&dir).unwrap();
-        let written = write_shards(&dir, &samples, shard_size).unwrap();
-        prop_assert_eq!(written.len(), samples.len().div_ceil(shard_size));
-        let (streamed, stats) = shard_concurrency(&dir, cfg, jobs, &Obs::disabled()).unwrap();
+        write_chunked(&dir, &samples, &sizes);
+        // 20 000 cycles span at most 200 intervals: 256 never evict.
+        let mut win = WindowedConcurrency::new(cfg, 256);
+        win.ingest_dir(&dir, &Obs::disabled()).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
-        prop_assert_eq!(stats.samples as usize, samples.len());
-        prop_assert_eq!(stats.shards_skipped, 0);
+        prop_assert_eq!(win.accepted() as usize, samples.len());
+        prop_assert_eq!(win.retained_samples() as usize, samples.len());
+        let streamed = win.concurrency_jobs(jobs);
 
         let batch = concurrency_map(&samples, &cfg);
         let naive = concurrency_map_naive(&samples, &cfg);
@@ -193,34 +256,64 @@ proptest! {
         prop_assert_eq!(&streamed, &batch);
     }
 
-    /// Shard files round-trip: `write_shards` + `read_shard` reproduce
-    /// the input samples exactly, time-sorted, partitioned into
-    /// `shard_size` chunks.
+    /// Shard files round-trip: `write_shard` chunks + `read_shard`
+    /// reproduce the input samples exactly, time-sorted, each file
+    /// holding the record count it was written with.
     #[test]
     fn shard_files_round_trip(
         samples in prop::collection::vec((0u16..6, 0u64..50_000, 0u32..20), 0..200),
-        shard_size in 1usize..64,
+        sizes in prop::collection::vec(1usize..64, 1..6),
     ) {
         let samples: Vec<Sample> =
             samples.into_iter().map(|(c, t, l)| mk_sample(c, t, l)).collect();
         let dir = case_dir("roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
-        let written = write_shards(&dir, &samples, shard_size).unwrap();
+        let written = write_chunked(&dir, &samples, &sizes);
         let mut sorted = samples.clone();
         sorted.sort_by_key(|s| s.time);
         let mut read_back = Vec::new();
-        for path in &written {
+        for (path, &size) in written.iter().zip(sizes.iter().cycle()) {
             let chunk = read_shard(path).unwrap();
-            prop_assert!(chunk.len() <= shard_size);
+            prop_assert!(chunk.len() <= size);
             read_back.extend(chunk);
         }
         std::fs::remove_dir_all(&dir).unwrap();
-        prop_assert_eq!(read_back.len(), sorted.len());
-        for (a, b) in read_back.iter().zip(&sorted) {
-            prop_assert_eq!(a.time, b.time);
-            prop_assert_eq!(a.cpu, b.cpu);
-            prop_assert_eq!(a.line, b.line);
+        prop_assert_eq!(read_back, sorted);
+    }
+
+    /// `decode_shard` never panics on arbitrary bytes, with or without
+    /// a valid magic and version in front.
+    #[test]
+    fn decode_shard_is_total_on_arbitrary_bytes(
+        body in prop::collection::vec(any::<u8>(), 0..300),
+        prefix in 0usize..3,
+    ) {
+        let mut bytes: Vec<u8> = Vec::new();
+        if prefix >= 1 {
+            bytes.extend_from_slice(b"SLSHARD1");
         }
+        if prefix == 2 {
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+        }
+        bytes.extend_from_slice(&body);
+        assert_decode_is_total(&bytes);
+    }
+
+    /// `decode_shard` never panics on a single edit of a valid image:
+    /// a truncation, a flipped byte, an overwritten record count or two
+    /// swapped records.
+    #[test]
+    fn decode_shard_is_total_on_edited_images(
+        samples in prop::collection::vec((0u16..6, 0u64..50_000, 0u32..20), 0..40),
+        kind in 0usize..4,
+        at in any::<usize>(),
+        value in any::<u32>(),
+    ) {
+        let mut samples: Vec<Sample> =
+            samples.into_iter().map(|(c, t, l)| mk_sample(c, t, l)).collect();
+        samples.sort_by_key(|s| s.time);
+        let valid = encode_shard(&samples).unwrap();
+        prop_assert_eq!(decode_shard(&valid).unwrap(), samples);
+        assert_decode_is_total(&edit_shard(valid, kind, at, value));
     }
 
     /// The blocked threshold-decomposition kernel equals the retained

@@ -200,12 +200,12 @@ pub fn version_token(win: &WindowedConcurrency, cells: &[(u128, u64)]) -> String
 }
 
 /// Computes the advice an offline run over `dir`'s shard files yields:
-/// the differential reference for everything the daemon serves. Walks
-/// `dir` recursively, folds every `*.slshard` file through the same
-/// windowed fold, and renders through the same advisor — so equality
-/// with the daemon is `cmp`-exact whenever both saw the same samples.
-/// Structurally invalid shard files are skipped with a counted warning
-/// (`warn.serve.offline_skipped`), mirroring the ingest path.
+/// the differential reference for everything the daemon serves. Folds
+/// every `*.slshard` file under `dir` through the daemon's windowed fold
+/// ([`WindowedConcurrency::ingest_dir`]) and renders through the same
+/// advisor — so equality with the daemon is `cmp`-exact whenever both
+/// saw the same samples. Structurally invalid shard files are skipped
+/// as `warn.shard.skipped.<reason>` warnings, mirroring the ingest path.
 pub fn offline_advice(
     dir: &std::path::Path,
     cfg: &ServeConfig,
@@ -214,24 +214,13 @@ pub fn offline_advice(
     plan: FaultPlan,
     obs: &Obs,
 ) -> io::Result<Advice> {
-    let files = slopt_sample::shard_files(dir)?;
     let mut win = WindowedConcurrency::new(
         slopt_sample::ConcurrencyConfig {
             interval: cfg.interval,
         },
         cfg.window,
     );
-    for path in &files {
-        match slopt_sample::read_shard(path) {
-            Ok(samples) => {
-                win.ingest(&samples);
-            }
-            Err(e) => {
-                obs.warning("serve.offline_skipped");
-                eprintln!("[offline] skipping {}: {e}", path.display());
-            }
-        }
-    }
+    win.ingest_dir(dir, obs)?;
     let mut advisor = Advisor::new(cfg, jobs, policy, plan, obs);
     Ok(advisor.advise(&mut win, obs))
 }

@@ -2,7 +2,7 @@
 //! reference (`--offline DIR`), and deterministic CI shard emission
 //! (`--emit-samples DIR`).
 
-use slopt_bench::{extra_flag, usage_exit, CommonArgs};
+use slopt_bench::{extra_flag, usage_exit, ArgError, CommonArgs};
 use slopt_fault::{exit, FaultPlan};
 use slopt_ir::SupervisePolicy;
 use slopt_obs::Obs;
@@ -17,8 +17,9 @@ const ABOUT: &str = "always-available continuous layout-advisory daemon \
 const EXTRA_HELP: &str = "SERVE OPTIONS:
     --addr HOST:PORT     Bind address (default 127.0.0.1:0; the bound
                          address is written to <state-dir>/addr).
-    --window N           Window size in whole CC intervals (default 4096);
-                         samples older than the window decay out.
+    --window N           Window size in whole CC intervals (default 4096,
+                         at most 65536); samples older than the window
+                         decay out.
     --interval N         CC interval length in cycles (default 6000).
     --reopt-ms N         Re-optimize the cached advice every N ms when the
                          window changed (default 0: lazily on request).
@@ -30,8 +31,10 @@ const EXTRA_HELP: &str = "SERVE OPTIONS:
     --emit-samples DIR   Don't serve: split the deterministic measurement
                          sample stream into per-client shard files under
                          DIR (client<c>/b<seq>.slshard) for the CI soak.
-    --clients N          With --emit-samples: collector count (default 3).
-    --batches N          With --emit-samples: batches per client (default 8).
+    --clients N          With --emit-samples: collector count (default 3,
+                         at most 100).
+    --batches N          With --emit-samples: batches per client (default 8,
+                         at most 10000).
 
 The daemon's state directory is --checkpoint-dir (required in daemon
 mode); --resume refolds the journal there, reproducing the pre-crash
@@ -48,6 +51,20 @@ const EXTRAS: &[(&str, bool)] = &[
     ("--clients", true),
     ("--batches", true),
 ];
+
+/// The largest `--window`. The window's ring is allocated up front, one
+/// ~72-byte slot per interval, so this bounds that allocation at ~5 MB
+/// while still holding 16 times the default window of 4096 intervals.
+const MAX_WINDOW: u64 = 1 << 16;
+
+/// The largest `--clients`: collector directories are named
+/// `client<NN>`, and two digits keep their path order (the order the
+/// offline fold reads them in) equal to their numeric order.
+const MAX_CLIENTS: u64 = 100;
+
+/// The largest `--batches`, for the same reason: batch files are named
+/// `b<NNNN>`.
+const MAX_BATCHES: u64 = 10_000;
 
 /// Set by the SIGTERM handler; polled by the daemon main loop.
 static TERM: AtomicBool = AtomicBool::new(false);
@@ -77,14 +94,35 @@ fn flag<T: std::str::FromStr>(argv: &[String], name: &str) -> Option<T> {
     extra_flag(argv, name).unwrap_or_else(|e| usage_exit("slopt-serve", &e))
 }
 
+/// Reads a registered size flag: `default` when absent, else its value,
+/// which must lie in `1..=max`; anything else is a positional usage error
+/// naming the flag (exit 2).
+fn size_flag(argv: &[String], name: &str, default: u64, max: u64) -> u64 {
+    let Some(v) = flag::<u64>(argv, name) else {
+        return default;
+    };
+    if !(1..=max).contains(&v) {
+        let pos = argv.iter().rposition(|a| a == name).map_or(0, |i| i + 2);
+        let msg = if max == u64::MAX {
+            format!("{name} must be at least 1, got {v}")
+        } else {
+            format!("{name} must be in 1..={max}, got {v}")
+        };
+        usage_exit("slopt-serve", &ArgError { pos, msg });
+    }
+    v
+}
+
 fn main() {
     let (args, _) = CommonArgs::from_env_or_exit("slopt-serve", ABOUT, EXTRA_HELP, EXTRAS);
     let argv: Vec<String> = std::env::args().skip(1).collect();
 
     let serve = ServeConfig {
-        interval: flag(&argv, "--interval").unwrap_or(6_000),
-        window: flag(&argv, "--window").unwrap_or(4_096),
+        interval: size_flag(&argv, "--interval", 6_000, u64::MAX),
+        window: size_flag(&argv, "--window", 4_096, MAX_WINDOW),
     };
+    let clients = size_flag(&argv, "--clients", 3, MAX_CLIENTS);
+    let batches = size_flag(&argv, "--batches", 8, MAX_BATCHES);
     let (plan, policy) = match &args.fault {
         Some(f) => (f.plan.clone(), f.policy.clone()),
         None => (FaultPlan::none(), SupervisePolicy::default()),
@@ -101,13 +139,7 @@ fn main() {
     };
 
     let mut code = if let Some(dir) = flag::<PathBuf>(&argv, "--emit-samples") {
-        emit_samples(
-            &dir,
-            &serve,
-            flag(&argv, "--clients").unwrap_or(3),
-            flag(&argv, "--batches").unwrap_or(8),
-            &obs,
-        )
+        emit_samples(&dir, &serve, clients, batches, &obs)
     } else if let Some(dir) = flag::<PathBuf>(&argv, "--offline") {
         offline(
             &dir,
@@ -247,7 +279,7 @@ fn emit_samples(
     // shard invariant wants time order. Stable sort keeps determinism.
     let mut samples = analysis.samples;
     samples.sort_by_key(|s| s.time);
-    let chunks = (clients * batches).max(1) as usize;
+    let chunks = (clients * batches) as usize;
     let per = samples.len().div_ceil(chunks);
     let mut written = 0u64;
     for k in 0..chunks {

@@ -320,4 +320,72 @@ mod tests {
         let err = IngestBatch::decode(&[0u8; 3]).unwrap_err();
         assert_eq!(err.reason_key(), "short_ingest");
     }
+
+    /// The decoder is total: any payload decodes or fails with a typed
+    /// error, and a decoded batch re-encodes to a payload that decodes
+    /// to the same batch.
+    fn assert_decode_is_total(payload: &[u8]) {
+        if let Ok(batch) = IngestBatch::decode(payload) {
+            let again = batch.encode().expect("decoded samples are time-sorted");
+            assert_eq!(IngestBatch::decode(&again).unwrap(), batch);
+        }
+    }
+
+    mod never_panics {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Byte offsets inside an ingest payload: the shard image's
+        /// record count, its first record, and a record's length.
+        const COUNT_AT: usize = INGEST_HEADER_LEN + 12;
+        const RECORDS_AT: usize = INGEST_HEADER_LEN + 32;
+        const RECORD: usize = 24;
+
+        proptest! {
+            #[test]
+            fn ingest_decode_is_total_on_arbitrary_bytes(
+                payload in prop::collection::vec(any::<u8>(), 0..200),
+            ) {
+                assert_decode_is_total(&payload);
+            }
+
+            /// A single edit of a valid payload: a truncation, a flipped
+            /// byte, an overwritten record count or two swapped records.
+            #[test]
+            fn ingest_decode_is_total_on_edited_payloads(
+                times in prop::collection::vec(0u64..50_000, 0..40),
+                kind in 0usize..4,
+                at in any::<usize>(),
+                value in any::<u32>(),
+            ) {
+                let mut times = times;
+                times.sort_unstable();
+                let batch = IngestBatch {
+                    client: 3,
+                    seq: at as u64,
+                    samples: times.iter().map(|&t| sample(t, (t % 5) as u16, (t % 9) as u32)).collect(),
+                };
+                let mut payload = batch.encode().unwrap();
+                prop_assert_eq!(IngestBatch::decode(&payload).unwrap(), batch);
+                match kind {
+                    0 => payload.truncate(at % (payload.len() + 1)),
+                    1 => {
+                        let i = at % payload.len();
+                        payload[i] ^= (value as u8).max(1);
+                    }
+                    2 => payload[COUNT_AT..COUNT_AT + 4].copy_from_slice(&value.to_le_bytes()),
+                    _ => {
+                        let records = times.len();
+                        if records >= 2 {
+                            let (a, b) = (at % records, value as usize % records);
+                            for k in 0..RECORD {
+                                payload.swap(RECORDS_AT + a * RECORD + k, RECORDS_AT + b * RECORD + k);
+                            }
+                        }
+                    }
+                }
+                assert_decode_is_total(&payload);
+            }
+        }
+    }
 }

@@ -24,6 +24,9 @@
 //! *was* acknowledged is a complete journal file, so the resumed state
 //! trajectory is bit-identical to the original — which is what makes
 //! post-resume advice bit-identical too (see DESIGN.md §17).
+//!
+//! Writes are `flush()`ed to the operating system, never `fsync`ed, so
+//! this covers a process kill, not an OS crash or power loss.
 
 use slopt_bench::{fingerprint, Checkpoint, CheckpointSpec};
 use slopt_fault::{io::retry_io, FaultKind, FaultPlan};

@@ -276,7 +276,9 @@ fn garbage_frames_and_contained_panics_never_kill_the_daemon() {
 
 /// `slopt-serve`'s own flags go through the shared strict reader: a
 /// malformed value is a positional usage error (exit 2) pointing at
-/// `--help`, like every experiment binary's.
+/// `--help`, like every experiment binary's. So is a size outside its
+/// range — a zero window, interval, client or batch count, or a window
+/// too large to allocate — caught before any analysis runs.
 #[test]
 fn malformed_serve_flags_exit_2_with_positional_messages() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_slopt-serve"))
@@ -293,4 +295,31 @@ fn malformed_serve_flags_exit_2_with_positional_messages() {
         err.contains("try `slopt-serve --help`"),
         "stderr must point at --help; got: {err}"
     );
+
+    // Offline mode over a directory that does not exist: without the
+    // range check, these runs would panic or fail on the fold (exit 3).
+    let missing = std::env::temp_dir().join("slopt_serve_no_such_shards");
+    let missing = missing.to_str().unwrap();
+    for (flag, value) in [
+        ("--window", "0"),
+        ("--interval", "0"),
+        ("--clients", "0"),
+        ("--batches", "0"),
+        ("--window", "18446744073709551615"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_slopt-serve"))
+            .args(["--offline", missing, flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{flag} {value} must exit 2 (usage)"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("arg 4: ") && err.contains(&format!("{flag} must be ")),
+            "stderr must name {flag} at its value's position; got: {err}"
+        );
+    }
 }

@@ -7,7 +7,7 @@
 //! path).
 
 use slopt::core::{suggest_layout_all, LayoutRequest, ToolParams};
-use slopt::sample::{concurrency_map, shard_concurrency, write_shards, ConcurrencyConfig, Sample};
+use slopt::sample::{concurrency_map, write_shard, ConcurrencyConfig, Sample, WindowedConcurrency};
 use slopt::sim::CacheConfig;
 use slopt::workload::{
     analyze, baseline_layouts, compute_paper_layouts_jobs, measure, parse_workload_file,
@@ -147,20 +147,26 @@ fn sharded_streaming_is_job_count_invariant() {
     let dir = std::env::temp_dir().join(format!("slopt_det_stream_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    write_shards(&dir, &samples, 256).unwrap();
+    let mut sorted = samples.clone();
+    sorted.sort_by_key(|s| s.time);
+    for (i, chunk) in sorted.chunks(256).enumerate() {
+        write_shard(&dir.join(format!("shard-{i:05}.slshard")), chunk).unwrap();
+    }
+    // The directory fold, in a window that covers all 100 intervals.
+    let mut win = WindowedConcurrency::new(cfg, 128);
+    win.ingest_dir(&dir, &slopt_obs::Obs::disabled()).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(win.accepted(), 4_000);
+    assert_eq!(win.retained_samples(), 4_000);
     // The folded tensor — map, pairs, interner — must be bit-identical
     // to the batch estimator at every fan-out, like every other `jobs`
     // entry point in this file.
     for jobs in [1, 2, 3, 8] {
-        let (streamed, stats) =
-            shard_concurrency(&dir, cfg, jobs, &slopt_obs::Obs::disabled()).unwrap();
-        assert_eq!(stats.samples, 4_000, "jobs={jobs}");
-        assert_eq!(stats.shards_skipped, 0, "jobs={jobs}");
+        let streamed = win.concurrency_jobs(jobs);
         assert_eq!(streamed, batch, "jobs={jobs}");
         assert_eq!(streamed.pairs(), batch.pairs(), "jobs={jobs}");
         assert_eq!(streamed.interner(), batch.interner(), "jobs={jobs}");
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
