@@ -167,6 +167,22 @@ cargo run --release --offline -p slopt-bench --bin fig9 -- --jobs 1 \
 ./target/release/slopt-tool stats "$RESUME_TRACE_TMP" > /dev/null
 rm -rf "$CKPT_TMP" "$RESUME_TRACE_TMP"
 
+echo "== run store reuse across processes (fig10 --resume after fig8) =="
+# One run log serves every grid: fig10 re-measures fig8's baseline and
+# tool cells (and two constrained cells coincide with fig8's), so 56 of
+# its 77 grid items resume from fig8's log, and the figure is the bytes
+# of a clean fig10 run.
+REUSE_DIR="$(mktemp -d /tmp/slopt_reuse.XXXXXX)"
+./target/release/fig8 --checkpoint-dir "$REUSE_DIR/ckpt" > /dev/null 2>&1
+./target/release/fig10 --checkpoint-dir "$REUSE_DIR/ckpt" --resume --stats \
+    > "$REUSE_DIR/resumed.txt" 2> /dev/null
+./target/release/fig10 > "$REUSE_DIR/clean.txt" 2> /dev/null
+grep -Eq '^ *ckpt\.items_resumed +56$' "$REUSE_DIR/resumed.txt" \
+    || { echo "fig10 after fig8: expected 56 resumed grid items"; exit 1; }
+sed '/^=== run stats ===$/,$d' "$REUSE_DIR/resumed.txt" | cmp - "$REUSE_DIR/clean.txt" \
+    || { echo "fig10 resumed from fig8's runs differs from a clean fig10"; exit 1; }
+rm -rf "$REUSE_DIR"
+
 echo "== cargo test --doc (public-API doctests) =="
 cargo test --offline -q --workspace --doc
 

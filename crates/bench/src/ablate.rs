@@ -9,8 +9,8 @@
 //! checkpoint, fault plan) and shares the context's run memo.
 //!
 //! Every throughput a row prints is a grid item of [`measure_complete`]:
-//! a row's grid name is its row name (and so its checkpoint file stem),
-//! and a holed grid prints its partial table and returns
+//! a row's grid name is its row name (its progress and degrade tag), and
+//! a holed grid prints its partial table and returns
 //! [`GridError::Degraded`].
 
 use std::collections::HashSet;
@@ -38,7 +38,7 @@ use crate::harness::{derive_paper_layouts, FigureSetup};
 use crate::runner::{measure_complete, run_items, Cell, ExecCtx, GridError};
 
 /// One side study: the name `ablate NAME` selects it by (also its grid
-/// name and checkpoint file stem), the line `ablate --help` lists, and
+/// name), the line `ablate --help` lists, and
 /// the body that measures and prints its table.
 #[derive(Clone, Copy, Debug)]
 pub struct Ablation {

@@ -16,8 +16,8 @@
 use slopt_core::SupervisePolicy;
 use slopt_fault::{exit, FaultPlan};
 
-use crate::checkpoint::CheckpointSpec;
 use crate::runner::{ExecCtx, FaultConfig};
+use crate::store::CheckpointSpec;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -32,11 +32,11 @@ pub const FLAG_REFERENCE: &str = "OPTIONS:
                          JSONL, Chrome trace events) to <path>.
     --stats              Print the aggregate counter/span summary table at
                          exit.
-    --checkpoint-dir DIR Persist every completed grid item to DIR as it
-                         finishes.
-    --resume             Resume from the checkpoint in --checkpoint-dir,
-                         recomputing only the missing items (bit-identical
-                         result).
+    --checkpoint-dir DIR Persist each simulated run to DIR/runs.ckpt as it
+                         is accepted.
+    --resume             Resume from the runs in --checkpoint-dir,
+                         simulating only the missing ones (bit-identical
+                         result; a run logged by any grid is reused).
     --fault-plan SPEC    Inject seed-deterministic faults into the worker
                          pool (e.g. `seed=7,transient=0.1,panic=0.05`;
                          kinds: panic, transient, permanent, slow,
@@ -44,8 +44,8 @@ pub const FLAG_REFERENCE: &str = "OPTIONS:
     --max-retries N      Retry budget per grid item for transient faults
                          (default 3).
     --deadline-ms N      Cooperative per-item deadline in milliseconds; an
-                         item over budget is holed and never checkpointed
-                         as completed.
+                         item over budget is holed and its run never
+                         logged.
     --help, -h           This text.";
 
 /// The process exit-code vocabulary shared by every experiment binary's

@@ -63,7 +63,7 @@ use slopt_ir::source::SourceLine;
 use slopt_ir::types::{FieldIdx, FieldType, PrimType, RecordId, RecordType};
 use slopt_sample::{
     concurrency_map, concurrency_map_naive, concurrency_map_reference, ConcurrencyConfig, Sample,
-    StreamingConcurrency,
+    StreamingConcurrency, PARALLEL_FINISH_MIN_CELLS,
 };
 use slopt_sim::CpuId;
 use std::time::Instant;
@@ -200,12 +200,13 @@ fn synth_samples(n: usize, cpus: u16, lines: u32, span: u64, seed: u64) -> Vec<S
 }
 
 fn bench_cc(args: &Args) -> BenchResult {
-    // The full mode grows the interval count with the stream, keeping
-    // density (and the per-interval cost ratio) fixed; the naive oracle,
-    // quadratic in samples-per-interval, stays affordable for its one
-    // equivalence check.
+    // Both modes keep ~600 samples per interval, growing the interval
+    // count with the stream, so the density (and the per-interval cost
+    // ratio) is fixed; the naive oracle, quadratic in samples-per-interval,
+    // stays affordable for its one equivalence check. The quick stream is
+    // still large enough (~143k cells) that `finish(jobs)` fans out.
     let (n, intervals) = if args.quick {
-        (60_000, 100u64)
+        (150_000, 250u64)
     } else {
         (600_000, 1_000)
     };
@@ -234,6 +235,17 @@ fn bench_cc(args: &Args) -> BenchResult {
         dense_pairs,
         concurrency_map_naive(&samples, &cfg).pairs(),
         "dense and naive concurrency maps disagree"
+    );
+    // The parallel column times a fan-out only above the final fold's
+    // serial threshold: count the stream's cells, untimed.
+    let stats = slopt_obs::Obs::aggregating();
+    let mut stream = StreamingConcurrency::new(cfg);
+    stream.ingest(&samples);
+    stream.finish(1, &stats);
+    let cells = stats.summary().metrics.counter("cc.cells") as usize;
+    assert!(
+        cells >= PARALLEL_FINISH_MIN_CELLS,
+        "{cells} cells fold serially"
     );
     // The parallel column: the same stream folded into the streaming
     // cell store and finished over `--jobs` threads. It must be

@@ -63,8 +63,7 @@ pub fn figure_setup(args: &CommonArgs) -> FigureSetup {
 /// all-baseline table, and the printed title.
 #[derive(Clone, Debug)]
 pub struct PaperFigure {
-    /// Grid name: the binary name, the checkpoint file stem and the
-    /// progress/degrade tag.
+    /// Grid name: the binary name and the progress/degrade tag.
     pub name: &'static str,
     /// The machine every cell is measured on.
     pub machine: Machine,

@@ -22,22 +22,20 @@
 
 pub mod ablate;
 pub mod args;
-pub mod checkpoint;
 pub mod harness;
-mod memo;
 pub mod runner;
+mod store;
 
 pub use ablate::{ablations, select_ablations, Ablation};
 pub use args::{
     extra_flag, help_text, usage_exit, ArgError, CommonArgs, EXIT_CODE_TABLE, FLAG_REFERENCE,
 };
-pub use checkpoint::{fingerprint, Checkpoint, CheckpointSpec};
 pub use harness::{
     derive_paper_layouts, figure_main, figure_setup, kernel_records, measure_paper_figure,
     paper_figures, search_row, select_records, FigureSetup, PaperFigure, SearchRow, SearchRowCfg,
 };
-pub use memo::RunMemo;
 pub use runner::{
     figure, measure_cells, measure_complete, resolve, Cell, ExecCtx, FaultConfig, FigureOutcome,
     GridError, GridOutcome, SITE_CKPT, SITE_WORKER,
 };
+pub use store::{AppendLog, CheckpointSpec, RunMemo, RUNS_FILE};

@@ -26,7 +26,7 @@
 //! are keyed by grid index, and results are collected by `(cell, seed)`
 //! index — so the output is bit-identical for every `jobs` value,
 //! including `jobs == 1` (which spawns no threads at all), and invariant
-//! under checkpoint resume.
+//! under resume from the run store ([`crate::store`]).
 
 use slopt_core::{par_map_supervised_commit, FaultReport, SupervisePolicy, WorkerError};
 use slopt_fault::{exit, FaultKind, FaultPlan};
@@ -36,15 +36,14 @@ use slopt_workload::{
     LayoutKind, Machine, PaperLayouts, SdetConfig, Throughput, WorkloadSpec,
 };
 
-use crate::checkpoint::{fingerprint, Checkpoint, CheckpointSpec};
-use crate::memo::{self, RunMemo, RunSummary};
+use crate::store::{self, CheckpointSpec, RunKey, RunMemo, RunSummary};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Fault-decision site for worker execution (`--fault-plan` panics,
 /// transients, permanent failures, stalls).
 pub const SITE_WORKER: &str = "worker";
-/// Fault-decision site for checkpoint appends (`write-error`).
+/// Fault-decision site for run-log appends (`write-error`).
 pub const SITE_CKPT: &str = "ckpt";
 
 /// Fault injection plus the supervision policy that contains it, as
@@ -104,7 +103,8 @@ impl FaultConfig {
 pub struct ExecCtx {
     /// Observability handle. [`slopt_obs::Obs::disabled`] is zero-cost.
     pub obs: slopt_obs::Obs,
-    /// Grid checkpoint/resume request (`--checkpoint-dir` / `--resume`).
+    /// Run-log request (`--checkpoint-dir` / `--resume`): the memo's runs
+    /// are persisted there, and preloaded on resume.
     pub checkpoint: Option<CheckpointSpec>,
     /// Fault injection + supervision (`--fault-plan` / `--max-retries` /
     /// `--deadline-ms`). `None` runs the trusting scheduler.
@@ -119,7 +119,8 @@ pub struct ExecCtx {
     pub trace_out: Option<String>,
     /// The runs already simulated under this context (and its clones):
     /// [`measure_cells`] simulates each distinct run once and reuses it.
-    /// Not a flag — every context starts with an empty memo.
+    /// Not a flag — every context starts with an empty memo, which the
+    /// first checkpointed grid attaches to the run log.
     pub memo: RunMemo,
 }
 
@@ -313,32 +314,32 @@ pub(crate) fn run_items<I: Sync, T: Send>(
 ///
 /// Capabilities, per the context:
 ///
-/// * **Run memo** (`ctx.memo`): each grid item's run is keyed on the
-///   program, the cell's canonical layout table, machine and workload
-///   config, and the seed. A run the context already simulated — in this
-///   grid or an earlier one — is reused, and a duplicate in flight waits
-///   for the first. Every item still gets its `measure_cell` span, its
-///   `figure.cell_makespan` sample and its fault decision, so traces,
-///   chaos and checkpoints do not see the memo; `sim.memo_runs` and
-///   `sim.memo_hits` count the simulated and reused items.
+/// * **Run memo** (`ctx.memo`): each grid item's run is keyed on a
+///   digest of the program, the cell's canonical layout table, machine and
+///   workload config, plus the seed ([`crate::store`]). A run the context
+///   already simulated — in this grid or an earlier one — is reused, and a
+///   duplicate in flight waits for the first. Every item still gets its
+///   `measure_cell` span, its `figure.cell_makespan` sample and its fault
+///   decision, so traces and chaos do not see the memo; `sim.memo_runs`
+///   and `sim.memo_hits` count the simulated and reused items.
 /// * **Observability** (`ctx.obs`): the whole grid runs under a
 ///   `measure_grid` span, every `(cell, seed)` simulation under its own
 ///   `measure_cell` span (workers get distinct trace thread ids), and
 ///   the grid shape plus per-worker utilization are flushed as
 ///   `runner.*` counters and gauges. Disabled handles cost nothing.
-/// * **Checkpointing** (`ctx.checkpoint`): every completed grid item is
-///   appended to `<name>.ckpt` as it is *accepted* — deadline-holed or
-///   quarantined items are never recorded as completed — and a later
-///   `resume` run loads those items and recomputes only the rest.
-///   Persisted values are exact `f64` bit patterns and results are
-///   assembled by grid index either way, so a resumed run's output is
-///   bit-identical to an uninterrupted one. The log header fingerprints
-///   the grid name, the run count and every cell's run inputs — the
-///   memo's key: program, canonical layout table, machine and workload
-///   config — so resuming a grid whose values could differ is an error
-///   rather than a silent mix of experiments. Emits `ckpt.items_total` /
-///   `ckpt.items_resumed` counters and a `ckpt.torn_line` warning when
-///   the previous run died mid-append.
+/// * **Checkpointing** (`ctx.checkpoint`): the memo is persisted to the
+///   run log `runs.ckpt`, each simulated run appended once as a grid item
+///   of it is *accepted* — deadline-holed or quarantined items are never
+///   recorded — and a `resume` run preloads the log: an item whose run it
+///   holds is not scheduled, and only the rest are measured. Logged values
+///   are exact bit patterns and results are assembled by grid index
+///   either way, so a resumed run's output is bit-identical to an
+///   uninterrupted one. Since runs are keyed on their inputs, a cell whose
+///   layouts or config changed since the log was written is a miss and is
+///   simulated, never a stale value, and a run logged by one grid serves
+///   any later one. Emits `ckpt.items_total` / `ckpt.items_resumed`
+///   counters and a `ckpt.torn_line` warning when the previous run died
+///   mid-append.
 /// * **Fault supervision** (`ctx.fault`): grid items run through the
 ///   supervised pool; injected (or real) panics are contained, transient
 ///   failures retry with bounded deterministic backoff, and items that
@@ -369,59 +370,32 @@ pub fn measure_cells(
         .flat_map(|c| seeds.iter().map(move |&seed| (c, seed)))
         .collect();
 
-    let program_text = memo::program_text(kernel);
-    let program = ctx.memo.program_id(&program_text);
-    let keys: Vec<(String, Box<[u64]>)> = cells
+    let program = store::program_digest(kernel);
+    let digests: Vec<u128> = cells
         .iter()
-        .map(|c| {
-            let config = memo::config_text(&c.machine, &c.sdet);
-            (config, memo::canonical_table(&c.table))
-        })
+        .map(|c| store::inputs_digest(program, &c.machine, &c.sdet, &c.table))
         .collect();
-    let inputs: Vec<_> = keys
-        .iter()
-        .map(|(config, words)| ctx.memo.inputs_id(program, config, words))
-        .collect();
+    let key = |c: usize, seed: u64| -> RunKey { (digests[c], seed) };
 
-    let ckpt = match &ctx.checkpoint {
-        Some(spec) => {
-            // The header keys on what the values depend on — the memo's
-            // run inputs — so resuming against any changed cell, layouts
-            // included, is a mismatch rather than a silent mix.
-            let mut parts: Vec<Vec<u8>> = vec![
-                name.into(),
-                format!("runs={runs}").into(),
-                program_text.clone().into(),
-            ];
-            for (config, words) in &keys {
-                parts.push(config.clone().into());
-                parts.push(words.iter().flat_map(|w| w.to_le_bytes()).collect());
-            }
-            let fp = fingerprint(&parts);
-            let ck = Checkpoint::open(spec, name, grid.len(), fp)?;
-            if obs.enabled() {
-                obs.counter("ckpt.items_total", grid.len() as u64);
-                obs.counter("ckpt.items_resumed", ck.resumed() as u64);
-                if ck.dropped_torn_line() {
-                    obs.warning("ckpt.torn_line");
-                }
-            }
-            if spec.resume {
-                eprintln!(
-                    "[runner] checkpoint {}: {} of {} grid items already done",
-                    ck.path().display(),
-                    ck.resumed(),
-                    grid.len()
-                );
-            }
-            Some(ck)
+    let mut values: Vec<Option<f64>> = vec![None; grid.len()];
+    if let Some(spec) = &ctx.checkpoint {
+        let path = ctx.memo.attach(spec, obs)?;
+        for (value, &(c, seed)) in values.iter_mut().zip(&grid) {
+            *value = ctx.memo.resumed(key(c, seed)).map(|run| run.throughput);
         }
-        None => None,
-    };
-
-    let mut values: Vec<Option<f64>> = (0..grid.len())
-        .map(|i| ckpt.as_ref().and_then(|ck| ck.get(i)))
-        .collect();
+        let resumed = values.iter().flatten().count();
+        if obs.enabled() {
+            obs.counter("ckpt.items_total", grid.len() as u64);
+            obs.counter("ckpt.items_resumed", resumed as u64);
+        }
+        if spec.resume {
+            eprintln!(
+                "[runner] {name}: {resumed} of {} grid items already done in {}",
+                grid.len(),
+                path.display()
+            );
+        }
+    }
     let pending: Vec<(usize, usize, u64)> = grid
         .iter()
         .enumerate()
@@ -445,10 +419,10 @@ pub fn measure_cells(
     let t0 = std::time::Instant::now();
     let (memo_hits, memo_runs) = (AtomicU64::new(0), AtomicU64::new(0));
     // One grid item's simulation.
-    let simulate = |&(_, c, seed): &(usize, usize, u64)| -> f64 {
+    let simulate = |&(_, c, seed): &(usize, usize, u64)| -> RunSummary {
         let _cell = obs.span("measure_cell");
         let cell = &cells[c];
-        let (run, hit) = ctx.memo.run(inputs[c], seed, || {
+        let (run, hit) = ctx.memo.run(key(c, seed), || {
             let out = run_once(
                 kernel,
                 &cell.table,
@@ -469,33 +443,36 @@ pub fn measure_cells(
         // histograms this one is bit-identical at any --jobs value and
         // structural comparison covers it.
         obs.histogram("figure.cell_makespan", run.makespan);
-        run.throughput
+        run
     };
-    // Committing an *accepted* grid item to the checkpoint. This is the
-    // run's only durable side effect, so it sits behind the supervised
-    // pool's acceptance boundary: an item the pool rejects (deadline
-    // overrun, quarantine) must never be recorded as completed.
-    let commit_value = |&(i, _, _): &(usize, usize, u64), &value: &f64, attempt: u32| {
-        if let Some(ck) = &ckpt {
-            let dropped = ctx.fault.as_ref().is_some_and(|f| {
-                f.plan
-                    .fires(FaultKind::WriteError, SITE_CKPT, i as u64, attempt)
-            });
-            if dropped {
-                // The degrade path checkpointing already has: a failed
-                // append loses only resumability of this item.
-                obs.warning("fault.injected.write_error");
-            } else {
-                ck.record(i, value);
-            }
+    // Logging an *accepted* grid item's run. This is the run's only
+    // durable side effect, so it sits behind the supervised pool's
+    // acceptance boundary: an item the pool rejects (deadline overrun,
+    // quarantine) must never be recorded as completed. The write-error
+    // decision keys on the grid index, before the memo's once-per-run
+    // dedup, so it does not depend on scheduling.
+    let commit_run = |&(i, c, seed): &(usize, usize, u64), &run: &RunSummary, attempt: u32| {
+        if ctx.checkpoint.is_none() {
+            return;
+        }
+        let dropped = ctx.fault.as_ref().is_some_and(|f| {
+            f.plan
+                .fires(FaultKind::WriteError, SITE_CKPT, i as u64, attempt)
+        });
+        if dropped {
+            // The degrade path the log already has: a failed append loses
+            // only resumability of this run.
+            obs.warning("fault.injected.write_error");
+        } else {
+            ctx.memo.record(key(c, seed), run);
         }
     };
     let (computed, report) = {
         let _span = obs.span("measure_grid");
-        run_items(ctx, &pending, |_, &(i, _, _)| i, simulate, commit_value)
+        run_items(ctx, &pending, |_, &(i, _, _)| i, simulate, commit_run)
     };
-    for (&(i, _, _), value) in pending.iter().zip(computed) {
-        values[i] = value;
+    for (&(i, _, _), run) in pending.iter().zip(computed) {
+        values[i] = run.map(|run| run.throughput);
     }
     if obs.enabled() {
         obs.counter("runner.cells", cells.len() as u64);
@@ -548,8 +525,9 @@ pub struct FigureOutcome {
 /// The grid comes from [`figure_tables`] (the single source of cell
 /// order) and is measured by [`measure_cells`], so the result is
 /// bit-identical for every `jobs` value, checkpointed or not. A resumed
-/// run whose layouts were derived from a drifted analysis fails at the
-/// checkpoint header instead of mixing two experiments.
+/// run whose layouts were derived from a drifted analysis simulates the
+/// changed cells, so it prints the drifted grid's figure, never a mix of
+/// two experiments.
 ///
 /// When permanent faults poison cells the [`FigureOutcome`] carries the
 /// partial per-cell values instead of a figure, and the caller is
@@ -614,7 +592,7 @@ pub fn figure(
 /// so every caller agrees on it.
 #[derive(Debug)]
 pub enum GridError {
-    /// Checkpoint I/O failed.
+    /// Run-log I/O failed.
     Io(std::io::Error),
     /// Permanent faults holed the grid (the partial table is already
     /// printed).
@@ -804,40 +782,53 @@ mod tests {
         assert_eq!(s.metrics.counter("runner.cells"), 1);
     }
 
+    /// A fresh checkpoint directory named by `tag`, and its spec maker.
+    fn ckpt_dir(tag: &str) -> (std::path::PathBuf, impl Fn(bool) -> CheckpointSpec) {
+        let dir = std::env::temp_dir().join(format!("slopt_runner_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec_dir = dir.clone();
+        let spec = move |resume| CheckpointSpec {
+            dir: spec_dir.clone(),
+            resume,
+        };
+        (dir, spec)
+    }
+
+    /// Measures `cells` under `spec` on a fresh context: the values, the
+    /// resumed item count and the memo counts.
+    fn resumed_grid(
+        spec: CheckpointSpec,
+        kernel: &Kernel,
+        cells: &[Cell],
+        runs: usize,
+    ) -> (Vec<Throughput>, u64, (u64, u64)) {
+        let obs = slopt_obs::Obs::aggregating();
+        let ctx = ExecCtx::bare(2).with_checkpoint(spec).with_obs(obs.clone());
+        let out = complete(measure_cells(&ctx, "t", kernel, cells, runs).expect("ckpt I/O"));
+        let resumed = obs.summary().metrics.counter("ckpt.items_resumed");
+        (out, resumed, memo_counts(&obs))
+    }
+
     #[test]
     fn checkpointed_cells_match_plain_cells_after_partial_run() {
-        let (kernel, cells) = small_cells(2);
+        // Two distinct tables, so each logged run is one grid item.
+        let (kernel, cells) = alternating_cells(2);
         let plain = complete(
             measure_cells(&ExecCtx::bare(2), "t", &kernel, &cells, 3).expect("no ckpt I/O"),
         );
-
-        let dir = std::env::temp_dir().join(format!("slopt_runner_ckpt_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = CheckpointSpec {
-            dir: dir.clone(),
-            resume: false,
-        };
         // Full checkpointed run, then truncate the log to simulate a kill
-        // after the first two grid items.
-        let ctx = ExecCtx::bare(1).with_checkpoint(spec);
+        // after the first two runs.
+        let (dir, spec) = ckpt_dir("ckpt");
+        let ctx = ExecCtx::bare(1).with_checkpoint(spec(false));
         let full = complete(measure_cells(&ctx, "t", &kernel, &cells, 3).expect("ckpt I/O"));
-        let path = dir.join("t.ckpt");
+        let path = dir.join(store::RUNS_FILE);
         let text = std::fs::read_to_string(&path).unwrap();
         let kept: Vec<&str> = text.lines().take(3).collect();
         std::fs::write(&path, format!("{}\n", kept.join("\n"))).unwrap();
 
-        let resume = CheckpointSpec {
-            dir: dir.clone(),
-            resume: true,
-        };
-        let obs = slopt_obs::Obs::aggregating();
-        let ctx = ExecCtx::bare(2)
-            .with_checkpoint(resume)
-            .with_obs(obs.clone());
-        let resumed = complete(measure_cells(&ctx, "t", &kernel, &cells, 3).expect("ckpt I/O"));
-        let s = obs.summary();
-        assert_eq!(s.metrics.counter("ckpt.items_resumed"), 2);
-        assert_eq!(s.metrics.counter("ckpt.items_total"), 8);
+        // 2 cells x (warm-up + 3 runs) = 8 grid items, 6 of them measured.
+        let (resumed, items, memo) = resumed_grid(spec(true), &kernel, &cells, 3);
+        assert_eq!((items, memo), (2, (6, 0)));
         for ((a, b), c) in plain.iter().zip(&full).zip(&resumed) {
             assert_eq!(a.mean, b.mean);
             assert_eq!(a.runs, c.runs);
@@ -943,39 +934,23 @@ mod tests {
 
     #[test]
     fn deadline_holes_are_never_recorded_in_the_checkpoint() {
-        let (kernel, cells) = small_cells(2);
-        let dir = std::env::temp_dir().join(format!("slopt_runner_dl_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        // Two distinct tables: every grid item is its own run.
+        let (kernel, cells) = alternating_cells(2);
+        let (dir, spec) = ckpt_dir("dl");
         let mut fc = fault_cfg("seed=9,slow=0.4,slow-ms=200", 0);
         fc.policy.deadline = Some(Duration::from_millis(30));
-        let ctx = ExecCtx::bare(2)
-            .with_checkpoint(CheckpointSpec {
-                dir: dir.clone(),
-                resume: false,
-            })
-            .with_fault(fc);
+        let ctx = ExecCtx::bare(2).with_checkpoint(spec(false)).with_fault(fc);
         let out = measure_cells(&ctx, "dl", &kernel, &cells, 2).expect("ckpt I/O");
         assert!(
             out.report.deadline_hits > 0,
             "this seed must stall some items past the deadline"
         );
-        let poisoned: Vec<usize> = out.report.poisoned.iter().map(|f| f.index).collect();
-        let text = std::fs::read_to_string(dir.join("dl.ckpt")).unwrap();
-        let recorded: Vec<usize> = text
-            .lines()
-            .filter_map(|l| l.strip_prefix("item "))
-            .filter_map(|l| l.split_whitespace().next())
-            .filter_map(|idx| idx.parse().ok())
-            .collect();
-        for idx in &poisoned {
-            assert!(
-                !recorded.contains(idx),
-                "deadline-holed grid item {idx} must not be checkpointed as completed"
-            );
-        }
-        // Every accepted item IS recorded (no write-error in the plan):
-        // 2 cells x (warm-up + 2 runs) = 6 grid items minus the holes.
-        assert_eq!(recorded.len(), 6 - poisoned.len());
+        // Every accepted item is logged (no write-error in the plan), no
+        // holed one is: a resume simulates exactly the holes. 2 cells x
+        // (warm-up + 2 runs) = 6 grid items.
+        let holes = out.report.poisoned.len() as u64;
+        let (_, resumed, memo) = resumed_grid(spec(true), &kernel, &cells, 2);
+        assert_eq!((resumed, memo), (6 - holes, (holes, 0)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1145,30 +1120,27 @@ mod tests {
     }
 
     #[test]
-    fn resuming_a_grid_whose_layouts_changed_is_a_header_mismatch() {
+    fn resuming_a_grid_whose_layouts_changed_recomputes_exactly_the_changed_cells() {
         let (kernel, cells) = small_cells(2);
-        let (_, mut changed) = alternating_cells(2);
+        let (_, changed) = alternating_cells(2);
         for (a, b) in cells.iter().zip(&changed) {
             assert_eq!(a.label, b.label);
         }
-        let dir = std::env::temp_dir().join(format!("slopt_runner_fp_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = |resume| CheckpointSpec {
-            dir: dir.clone(),
-            resume,
-        };
+        let clean = complete(measure_cells(&ExecCtx::bare(1), "t", &kernel, &changed, 2).unwrap());
+        let (dir, spec) = ckpt_dir("fp");
         let ctx = ExecCtx::bare(1).with_checkpoint(spec(false));
         measure_cells(&ctx, "t", &kernel, &cells, 2).expect("ckpt I/O");
-        let resume = ExecCtx::bare(1).with_checkpoint(spec(true));
-        let err = measure_cells(&resume, "t", &kernel, &changed, 2).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("header mismatch"), "{err}");
-        // The unchanged grid still resumes, every item from the log.
-        changed[1].table = cells[1].table.clone();
-        let obs = slopt_obs::Obs::aggregating();
-        let resume = resume.with_obs(obs.clone());
-        measure_cells(&resume, "t", &kernel, &changed, 2).expect("ckpt I/O");
-        assert_eq!(obs.summary().metrics.counter("ckpt.items_resumed"), 6);
+        // Cell 1's layouts changed: its three items miss and simulate,
+        // cell 0's resume, and the result is the changed grid's own.
+        let (out, resumed, memo) = resumed_grid(spec(true), &kernel, &changed, 2);
+        assert_eq!((resumed, memo), (3, (3, 0)));
+        let bits = |t: &[Throughput]| t.iter().map(run_bits).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&clean));
+        // The log now holds both grids' runs: either resumes whole.
+        for grid in [&cells, &changed] {
+            let (_, resumed, memo) = resumed_grid(spec(true), &kernel, grid, 2);
+            assert_eq!((resumed, memo), (6, (0, 0)));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,7 +1,7 @@
 //! The `ablate` binary honours the shared flags on every row: a row
 //! that never measured under an execution context before (`cc_validation`)
 //! writes a valid trace, and a row whose throughputs used to bypass the
-//! grid (`sweep_remote_latency`) checkpoints and resumes to the same
+//! grid (`sweep_remote_latency`) logs its runs and resumes to the same
 //! bytes.
 
 use std::path::PathBuf;
@@ -49,11 +49,12 @@ fn sweep_remote_latency_resumes_to_the_same_bytes() {
     ];
     let direct = ablate(&args);
     assert_eq!(direct.status.code(), Some(0), "{direct:?}");
-    assert!(dir.join("sweep_remote_latency.ckpt").exists());
+    assert!(dir.join(slopt_bench::RUNS_FILE).exists());
     let resumed = ablate(&[&args[..], &["--resume"]].concat());
     assert_eq!(resumed.status.code(), Some(0), "{resumed:?}");
     assert!(
-        String::from_utf8_lossy(&resumed.stderr).contains("56 of 56 grid items already done"),
+        String::from_utf8_lossy(&resumed.stderr)
+            .contains("sweep_remote_latency: 56 of 56 grid items already done"),
         "the resumed run loads every item"
     );
     assert_eq!(

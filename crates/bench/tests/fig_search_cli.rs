@@ -1,7 +1,7 @@
 //! `fig_search` measures on the shared grid: every record's validation
-//! and each section's baseline and sort-by-hotness columns checkpoint
-//! under `--checkpoint-dir`, one log per grid, and `--resume` prints the
-//! same bytes from them.
+//! and each section's baseline and sort-by-hotness columns log their runs
+//! under `--checkpoint-dir`, and `--resume` resumes every grid whole from
+//! that one log and prints the same bytes.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -37,17 +37,19 @@ fn checkpoints_every_grid_and_resumes_to_the_same_bytes() {
         "search_session_tbl",
         "fig_search_stress",
     ];
-    for grid in grids {
-        assert!(dir.join(format!("{grid}.ckpt")).exists(), "{grid}.ckpt");
-    }
+    assert!(dir.join(slopt_bench::RUNS_FILE).exists());
     let resumed = fig_search(&[&args[..], &["--resume"]].concat());
     assert_eq!(resumed.status.code(), Some(0), "{resumed:?}");
     let stderr = String::from_utf8_lossy(&resumed.stderr);
-    let done = stderr
-        .lines()
-        .filter(|l| l.contains("grid items already done"))
-        .count();
-    assert_eq!(done, grids.len(), "every grid resumes from its log");
+    for grid in grids {
+        // `[runner] <grid>: <n> of <n> grid items already done in <log>`
+        let line = stderr
+            .lines()
+            .find(|l| l.starts_with(&format!("[runner] {grid}: ")))
+            .unwrap_or_else(|| panic!("{grid} resumes from the log"));
+        let counts: Vec<&str> = line.split(' ').skip(2).step_by(2).take(2).collect();
+        assert_eq!(counts[0], counts[1], "{grid} resumes whole: {line}");
+    }
     assert_eq!(
         String::from_utf8_lossy(&resumed.stdout),
         String::from_utf8_lossy(&direct.stdout)

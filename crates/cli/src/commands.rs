@@ -97,8 +97,8 @@ USAGE:
         Regenerate the paper's Figures 8, 9 and 10 in one go. --jobs fans
         the measurement grid across N host threads (default: all cores);
         the output is bit-identical for every N. With --checkpoint-dir,
-        every completed grid item is persisted as it finishes; re-running
-        with --resume recomputes only the missing items and yields a
+        each simulated run is persisted as it is accepted; re-running
+        with --resume simulates only the missing runs and yields a
         bit-identical result.
 
         --fault-plan injects seed-deterministic faults into the worker

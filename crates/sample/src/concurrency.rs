@@ -584,10 +584,9 @@ fn interval_minsum_sparse(cells: &[Cell], scratch: &mut MinsumScratch, acc: &mut
 
 /// Below this many distinct cells the final fold stays serial: spawning
 /// workers and merging their triangular accumulators dominates the fold
-/// itself on small inputs. The quick `perf_report` `cc` stream (60k
-/// samples, so at most 60k cells) lands under the threshold; the full
-/// one (600k samples) stays parallel.
-pub(crate) const PARALLEL_FINISH_MIN_CELLS: usize = 1 << 17;
+/// itself on small inputs. `perf_report` sizes both its `cc` streams
+/// above it (and asserts so), so its parallel column measures a fan-out.
+pub const PARALLEL_FINISH_MIN_CELLS: usize = 1 << 17;
 
 /// The final fold of every path (batch, streaming, windowed): turns
 /// sorted distinct `(packed cell key, count)` cells into the finished

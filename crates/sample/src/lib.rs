@@ -35,7 +35,7 @@ pub mod shard;
 
 pub use concurrency::{
     concurrency_map, concurrency_map_naive, concurrency_map_obs, concurrency_map_reference,
-    ConcurrencyConfig, ConcurrencyMap, LineId, LineInterner,
+    ConcurrencyConfig, ConcurrencyMap, LineId, LineInterner, PARALLEL_FINISH_MIN_CELLS,
 };
 pub use cycleloss::{cycle_loss, cycle_loss_filtered, cycle_loss_weighted, CycleLossMap};
 pub use sampler::{ExactCounter, Sample, Sampler, SamplerConfig};

@@ -12,7 +12,7 @@
 //!    process folded them.
 //! 2. **Fold** — the samples enter the [`WindowedConcurrency`] ring.
 //! 3. **Acknowledge** — only now does the client see `OK`. (The
-//!    `slopt-ckpt/1` meta log records the accepted-sample watermark
+//!    `serve-meta.ckpt` log records the accepted-sample watermark
 //!    between steps 2 and 3.)
 //!
 //! A `kill -9` between any two steps leaves either (a) no file, (b) a
@@ -28,7 +28,7 @@
 //! Writes are `flush()`ed to the operating system, never `fsync`ed, so
 //! this covers a process kill, not an OS crash or power loss.
 
-use slopt_bench::{fingerprint, Checkpoint, CheckpointSpec};
+use slopt_bench::{AppendLog, CheckpointSpec};
 use slopt_fault::{io::retry_io, FaultKind, FaultPlan};
 use slopt_obs::Obs;
 use slopt_sample::{encode_shard, read_shard, ConcurrencyConfig, WindowedConcurrency};
@@ -43,9 +43,9 @@ use crate::proto::IngestBatch;
 /// retry path without a real disk fault.
 pub const SITE_JOURNAL: &str = "serve.journal";
 
-/// Static configuration of the daemon's fold. Fingerprinted into the
-/// meta checkpoint header, so a resume under different parameters is
-/// refused instead of silently blending incompatible state.
+/// Static configuration of the daemon's fold. Written into the watermark
+/// log's header, so a resume under different parameters is refused
+/// instead of silently blending incompatible state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Code Concurrency interval length in cycles.
@@ -63,17 +63,6 @@ impl Default for ServeConfig {
             interval: 6_000,
             window: 4_096,
         }
-    }
-}
-
-impl ServeConfig {
-    /// The header fingerprint guarding resume against config drift.
-    pub fn fingerprint(&self) -> u64 {
-        fingerprint([
-            "slopt-serve/1",
-            &format!("interval={}", self.interval),
-            &format!("window={}", self.window),
-        ])
     }
 }
 
@@ -107,7 +96,9 @@ pub struct ServeState {
     /// Monotonic revision: bumped on every non-duplicate fold, so
     /// advice caches know when they are stale.
     rev: u64,
-    meta: Checkpoint,
+    /// The accepted-sample watermark log, `serve-meta.ckpt`: one
+    /// `watermark <n>` line per applied batch.
+    meta: AppendLog,
 }
 
 impl ServeState {
@@ -126,7 +117,19 @@ impl ServeState {
             let _ = std::fs::remove_dir_all(&journal_dir);
         }
         std::fs::create_dir_all(&journal_dir)?;
-        let meta = Checkpoint::open(spec, "serve-meta", 1, cfg.fingerprint())?;
+        let header = format!(
+            "slopt-serve/1 interval={} window={}",
+            cfg.interval, cfg.window
+        );
+        let parse = |line: &str| line.strip_prefix("watermark ")?.parse().ok();
+        // Only the last watermark matters, so a resume keeps just it.
+        let last = |marks: &[u64]| {
+            Ok(Vec::from_iter(
+                marks.last().map(|w| format!("watermark {w}")),
+            ))
+        };
+        let path = spec.dir.join("serve-meta.ckpt");
+        let (meta, marks) = AppendLog::open(path, &header, spec.resume, None, parse, last, obs)?;
 
         let mut state = ServeState {
             win: WindowedConcurrency::new(
@@ -145,14 +148,15 @@ impl ServeState {
             meta,
         };
         if spec.resume {
-            state.refold(obs)?;
+            state.refold(marks.last().copied().unwrap_or(0), obs)?;
         }
         Ok(state)
     }
 
     /// Replays the journal in fold order, reproducing the pre-crash
-    /// state trajectory exactly.
-    fn refold(&mut self, obs: &Obs) -> io::Result<()> {
+    /// state trajectory exactly, and checks it against the acknowledged
+    /// `watermark`.
+    fn refold(&mut self, watermark: u64, obs: &Obs) -> io::Result<()> {
         let mut files: Vec<(u64, u64, u64, PathBuf)> = Vec::new();
         for entry in std::fs::read_dir(&self.journal_dir)? {
             let path = entry?.path();
@@ -188,8 +192,7 @@ impl ServeState {
         }
         // Every acknowledged sample was journaled before the ack, so
         // the refold can only meet or exceed the recorded watermark.
-        let watermark = self.meta.get(0).unwrap_or(0.0);
-        if (self.win.accepted() as f64) < watermark {
+        if self.win.accepted() < watermark {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
@@ -246,7 +249,8 @@ impl ServeState {
         self.applied.insert((batch.client, batch.seq));
         self.next_order = order + 1;
         self.rev += 1;
-        self.meta.record(0, self.win.accepted() as f64);
+        self.meta
+            .append(&format!("watermark {}", self.win.accepted()));
 
         obs.counter("serve.ingest.batches", 1);
         obs.counter("serve.ingest.samples", accepted);

@@ -50,6 +50,7 @@ pub use kernel::{build_kernel, Action, CustomWorkload, Kernel, SlotKind, Workloa
 pub use sdet::{
     baseline_layouts, build_scripts, layouts_with, measure, measurement_seeds, run_once,
     run_once_logged, run_once_obs, Instances, Machine, SdetConfig, SdetRun, Throughput,
+    MODEL_VERSION,
 };
 pub use search::{search_for, search_for_obs, StructSearch};
 pub use spec::{parse_workload_file, SpecError};

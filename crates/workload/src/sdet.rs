@@ -254,6 +254,12 @@ pub struct SdetRun {
     pub stats: MemStats,
 }
 
+/// The version of the simulated model: the simulator and the SDET script
+/// generator behind [`run_once`]. Stored runs (the experiment runner's
+/// `runs.ckpt`) are reused only under the version that made them, so a
+/// change that moves any simulated number must bump it (a test pins one).
+pub const MODEL_VERSION: u32 = 1;
+
 /// Runs the workload once.
 ///
 /// # Panics
@@ -460,6 +466,21 @@ mod tests {
         assert_eq!(run.result.scripts_done, 2 * 4);
         assert!(run.result.makespan > 0);
         assert!(run.stats.accesses() > 0);
+    }
+
+    /// Pins one tiny run to [`MODEL_VERSION`]: stored runs are reused
+    /// across processes by version alone.
+    #[test]
+    fn model_version_pins_a_tiny_run() {
+        let (k, cfg) = (build_kernel(), small_cfg());
+        let layouts = baseline_layouts(&k, cfg.line_size);
+        let mut null = slopt_sim::NullObserver;
+        let run = run_once(&k, &layouts, &Machine::bus(2), &cfg, 1, &mut null).result;
+        assert_eq!(
+            (MODEL_VERSION, run.makespan, run.throughput().to_bits()),
+            (1, 22_779, 0x4075_f335_eee5_26c3),
+            "a simulated number changed: bump MODEL_VERSION and re-pin"
+        );
     }
 
     #[test]

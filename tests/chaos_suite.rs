@@ -20,7 +20,7 @@ use slopt::workload::{
     compute_paper_layouts_jobs, AnalysisConfig, Figure, LayoutKind, Machine, PaperLayouts,
     SdetConfig,
 };
-use slopt_bench::{figure, CheckpointSpec, ExecCtx, FaultConfig, FigureOutcome};
+use slopt_bench::{figure, CheckpointSpec, ExecCtx, FaultConfig, FigureOutcome, RUNS_FILE};
 use slopt_fault::FaultPlan;
 use std::path::{Path, PathBuf};
 
@@ -64,12 +64,8 @@ fn fault_cfg(spec: &str, max_retries: u32) -> FaultConfig {
 /// clean and chaotic runs differ only in the `fault` slot.
 fn ctx_for(jobs: usize, spec: Option<&CheckpointSpec>, fault: Option<&FaultConfig>) -> ExecCtx {
     ExecCtx {
-        obs: Obs::disabled(),
         checkpoint: spec.cloned(),
         fault: fault.cloned(),
-        jobs,
-        stats: false,
-        trace_out: None,
         ..ExecCtx::bare(jobs)
     }
 }
@@ -228,18 +224,18 @@ fn degraded_outcomes_are_jobs_invariant() {
     }
 }
 
-/// Keeps the checkpoint header plus the first `keep` item lines and a
-/// torn trailing half-line — the on-disk state of a process killed
-/// mid-append (same shape as `tests/checkpoint_resume.rs`).
+/// Keeps the run log's header plus its first `keep` runs and a torn
+/// trailing half-line — the on-disk state of a process killed mid-append
+/// (same shape as `tests/checkpoint_resume.rs`).
 fn interrupt(dir: &Path, keep: usize) {
-    let path = dir.join("chaos.ckpt");
+    let path = dir.join(RUNS_FILE);
     let text = std::fs::read_to_string(&path).unwrap();
     let mut lines = text.lines();
     let header = lines.next().unwrap().to_string();
     let mut kept: Vec<String> = std::iter::once(header)
         .chain(lines.take(keep).map(String::from))
         .collect();
-    kept.push("item 9 01".to_string());
+    kept.push("run 01".to_string());
     std::fs::write(&path, kept.join("\n")).unwrap();
 }
 
@@ -251,8 +247,8 @@ fn interrupt(dir: &Path, keep: usize) {
 fn kill_and_resume_under_chaos_converges_to_the_clean_figure() {
     let (kernel, sdet, layouts) = tiny();
     let clean = run_clean(&kernel, &sdet, &layouts, 2);
-    // write-error=0.3: roughly a third of completed items never reach
-    // the checkpoint log and must be recomputed on resume.
+    // write-error=0.3: roughly a third of completed runs never reach
+    // the run log and must be recomputed on resume.
     let fault = fault_cfg("seed=11,transient=0.3,panic=0.1,write-error=0.3", 16);
 
     let dir = temp_dir("kill");
@@ -260,29 +256,22 @@ fn kill_and_resume_under_chaos_converges_to_the_clean_figure() {
         dir: dir.clone(),
         resume: false,
     };
-    let outcome = run_chaos(
-        &kernel,
-        &sdet,
-        &layouts,
-        2,
-        Some(&spec),
-        &fault,
-        &Obs::disabled(),
-    )
-    .unwrap();
+    let obs = Obs::aggregating();
+    let outcome = run_chaos(&kernel, &sdet, &layouts, 2, Some(&spec), &fault, &obs).unwrap();
     let first = outcome.figure.expect("transient-only plan");
     assert_eq!(first.to_string(), clean.to_string());
 
-    // The log must be shorter than the grid: write-error dropped appends.
-    let logged = std::fs::read_to_string(dir.join("chaos.ckpt"))
+    // The log must hold fewer runs than the grid simulated, which is a
+    // clean checkpointed run's record count: write-error dropped appends.
+    let logged = std::fs::read_to_string(dir.join(RUNS_FILE))
         .unwrap()
         .lines()
         .count()
         - 1;
-    let grid = outcome.cells.len() * 4; // 3 measured runs + 1 warm-up per cell
+    let simulated = obs.summary().metrics.counter("sim.memo_runs") as usize;
     assert!(
-        logged < grid,
-        "write-error must drop checkpoint appends ({logged} of {grid} logged)"
+        logged < simulated,
+        "write-error must drop run-log appends ({logged} of {simulated} logged)"
     );
 
     // Kill mid-run (torn line), resume under the same plan.
@@ -381,7 +370,7 @@ fn resume_under_transient_chaos_traces_the_recovery() {
 }
 
 /// Deadline hits compose with the checkpoint: an item holed by the
-/// per-item deadline is *not* written to the item log as completed, so
+/// per-item deadline is *not* written to the run log as completed, so
 /// a resume without the deadline recomputes exactly the holed items and
 /// converges to the clean figure.
 #[test]
@@ -411,28 +400,15 @@ fn deadline_holes_are_never_checkpointed_as_completed() {
     assert!(outcome.report.deadline_hits > 0, "the deadline must fire");
     assert!(outcome.figure.is_none(), "deadline holes degrade the grid");
 
-    // The item log may only contain accepted items: no poisoned grid
-    // index may appear as a completed `item` line.
-    let log = std::fs::read_to_string(dir.join("chaos.ckpt")).unwrap();
-    let logged: std::collections::HashSet<usize> = log
-        .lines()
-        .filter_map(|l| l.strip_prefix("item ")?.split(' ').next()?.parse().ok())
-        .collect();
-    for failure in &outcome.report.poisoned {
-        assert!(
-            !logged.contains(&failure.index),
-            "deadline-holed grid item {} was checkpointed as completed",
-            failure.index
-        );
-    }
-
     // Resuming without the deadline recomputes exactly the holes and
     // lands on the clean figure.
     let resume = CheckpointSpec {
         dir: dir.clone(),
         resume: true,
     };
-    let ctx = ctx_for(2, Some(&resume), None);
+    let mut ctx = ctx_for(2, Some(&resume), None);
+    let obs = Obs::aggregating();
+    ctx.obs = obs.clone();
     let resumed = figure(
         &ctx,
         "chaos",
@@ -451,6 +427,16 @@ fn deadline_holes_are_never_checkpointed_as_completed() {
         resumed.to_string(),
         clean.to_string(),
         "resume after deadline holes must converge to the clean figure"
+    );
+    // No holed run reached the log: the resume measures every holed item
+    // and resumes every other one. (This grid's holed runs are not
+    // measured by any other item, which would log them on acceptance.)
+    let (s, holes) = (obs.summary().metrics, outcome.report.poisoned.len() as u64);
+    let resumed = s.counter("ckpt.items_resumed");
+    assert_eq!(resumed, s.counter("ckpt.items_total") - holes);
+    assert_eq!(
+        s.counter("sim.memo_runs") + s.counter("sim.memo_hits"),
+        holes
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }

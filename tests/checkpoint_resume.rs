@@ -1,19 +1,20 @@
 //! Kill/resume contract of the checkpointed experiment runner
 //! (`--checkpoint-dir` / `--resume`): a grid run interrupted mid-way —
 //! including a torn final log line from dying mid-append — and then
-//! resumed must produce a figure bit-identical to an uninterrupted run,
-//! emit a deterministic trace (modulo timestamps), and refuse to resume
-//! an experiment whose analysis drifted to different layouts.
+//! resumed must produce a figure bit-identical to an uninterrupted run
+//! and emit a deterministic trace (modulo timestamps); and resuming an
+//! experiment whose analysis or workload drifted must recompute exactly
+//! the changed cells, printing the drifted experiment's clean figure.
 
 use slopt::obs::json::{parse, Json};
 use slopt::obs::replay::replay_str;
 use slopt::obs::Obs;
 use slopt::sim::CacheConfig;
 use slopt::workload::{
-    compute_paper_layouts_jobs, AnalysisConfig, Figure, LayoutKind, Machine, PaperLayouts,
-    SdetConfig,
+    compute_paper_layouts_jobs, figure_tables, AnalysisConfig, Figure, LayoutKind, Machine,
+    PaperLayouts, SdetConfig,
 };
-use slopt_bench::{figure, CheckpointSpec, ExecCtx};
+use slopt_bench::{figure, CheckpointSpec, ExecCtx, RUNS_FILE};
 use std::path::{Path, PathBuf};
 
 fn tiny() -> (slopt::workload::Kernel, SdetConfig, PaperLayouts) {
@@ -54,10 +55,6 @@ fn run_figure(
     let ctx = ExecCtx {
         obs: obs.clone(),
         checkpoint: spec.cloned(),
-        fault: None,
-        jobs,
-        stats: false,
-        trace_out: None,
         ..ExecCtx::bare(jobs)
     };
     let outcome = figure(
@@ -76,18 +73,17 @@ fn run_figure(
         .expect("no fault plan, so the grid is complete"))
 }
 
-/// Keeps the checkpoint header plus the first `keep` item lines, then
-/// appends half an item line — the on-disk state of a run killed
-/// mid-append.
+/// Keeps the run log's header plus its first `keep` runs, then appends
+/// half a run line — the on-disk state of a run killed mid-append.
 fn interrupt(dir: &Path, keep: usize) {
-    let path = dir.join("fig.ckpt");
+    let path = dir.join(RUNS_FILE);
     let text = std::fs::read_to_string(&path).unwrap();
     let mut lines = text.lines();
     let header = lines.next().unwrap().to_string();
     let mut kept: Vec<String> = std::iter::once(header)
         .chain(lines.take(keep).map(String::from))
         .collect();
-    kept.push("item 7 0123".to_string());
+    kept.push("run 0123".to_string());
     std::fs::write(&path, kept.join("\n")).unwrap();
 }
 
@@ -205,19 +201,66 @@ fn interrupted_then_resumed_run_matches_uninterrupted() {
     std::fs::remove_dir_all(&dir_b).unwrap();
 }
 
-#[test]
-fn resume_refuses_a_drifted_analysis() {
-    let (kernel, sdet, layouts) = tiny();
-    let dir = temp_dir("drift");
+/// A resumed figure after drift: it must equal a clean run of the
+/// drifted experiment bit for bit, and resume exactly the grid items
+/// whose runs the first experiment already made. Returns how many of the
+/// drifted grid's cells were unchanged.
+fn resume_drifted(
+    tag: &str,
+    sdet: &SdetConfig,
+    layouts: &PaperLayouts,
+    drifted: (&SdetConfig, &PaperLayouts),
+) -> usize {
+    let kernel = slopt::workload::build_kernel();
+    let dir = temp_dir(tag);
     let spec = CheckpointSpec {
         dir: dir.clone(),
         resume: false,
     };
-    run_figure(&kernel, &sdet, &layouts, Some(&spec), 2, &Obs::disabled()).unwrap();
+    run_figure(&kernel, sdet, layouts, Some(&spec), 2, &Obs::disabled()).unwrap();
+    let clean = run_figure(&kernel, drifted.0, drifted.1, None, 2, &Obs::disabled()).unwrap();
 
+    // A drifted cell reuses a logged run only if the first grid measured
+    // its very table under the same workload config.
+    let tables = |sdet: &SdetConfig, layouts: &PaperLayouts| -> Vec<String> {
+        let (tables, _) = figure_tables(&kernel, sdet, layouts, &[LayoutKind::Tool]);
+        tables.iter().map(|t| format!("{t:?} {sdet:?}")).collect()
+    };
+    let first = tables(sdet, layouts);
+    let unchanged = tables(drifted.0, drifted.1)
+        .iter()
+        .filter(|t| first.contains(t))
+        .count();
+
+    let obs = Obs::aggregating();
+    let resume = CheckpointSpec {
+        dir: dir.clone(),
+        resume: true,
+    };
+    let resumed = run_figure(&kernel, drifted.0, drifted.1, Some(&resume), 2, &obs).unwrap();
+    assert_eq!(resumed.baseline.runs, clean.baseline.runs);
+    for (a, b) in resumed.rows.iter().zip(&clean.rows) {
+        assert_eq!(a.results, b.results);
+    }
+    assert_eq!(resumed.to_string(), clean.to_string());
+    // Two measured runs plus the warm-up per cell.
+    let (s, kept) = (obs.summary().metrics, unchanged as u64 * 3);
+    assert_eq!(s.counter("ckpt.items_resumed"), kept);
+    let measured = s.counter("sim.memo_runs") + s.counter("sim.memo_hits");
+    assert_eq!(
+        measured,
+        s.counter("ckpt.items_total") - kept,
+        "every changed item is measured"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+    unchanged
+}
+
+#[test]
+fn resume_after_a_drifted_analysis_recomputes_exactly_the_changed_cells() {
+    let (kernel, sdet, layouts) = tiny();
     // Re-deriving the layouts under a different measurement machine
-    // changes the tool layouts the figure measures: the checkpoint
-    // header fingerprints every cell's layout table, so it must refuse.
+    // changes the tool layouts the figure measures.
     let drifted_cfg = AnalysisConfig {
         machine: Machine::superdome(4),
         ..Default::default()
@@ -236,55 +279,25 @@ fn resume_refuses_a_drifted_analysis() {
         tool_layouts(&layouts),
         "precondition: the drifted tool tables must actually differ"
     );
-    let resume = CheckpointSpec {
-        dir: dir.clone(),
-        resume: true,
-    };
-    let err = run_figure(&kernel, &sdet, &drifted, Some(&resume), 2, &Obs::disabled()).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let unchanged = resume_drifted("drift", &sdet, &layouts, (&sdet, &drifted));
+    // The baseline cell always survives; some tool cell must not.
     assert!(
-        err.to_string().contains("header mismatch"),
-        "error must name the mismatch: {err}"
+        (1..6).contains(&unchanged),
+        "{unchanged} of 6 cells unchanged"
     );
-
-    // The original analysis still resumes fine.
-    run_figure(&kernel, &sdet, &layouts, Some(&resume), 2, &Obs::disabled()).unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
-fn resume_refuses_a_different_grid() {
-    let (kernel, sdet, layouts) = tiny();
-    let dir = temp_dir("grid");
-    let spec = CheckpointSpec {
-        dir: dir.clone(),
-        resume: false,
-    };
-    run_figure(&kernel, &sdet, &layouts, Some(&spec), 2, &Obs::disabled()).unwrap();
-
-    // Same analysis, different measured workload: the grid fingerprint
-    // in the log header must not match.
+fn resume_of_a_different_grid_recomputes_it_whole() {
+    let (_, sdet, layouts) = tiny();
+    // Same analysis, different measured workload: every cell's config
+    // changed, so no logged run applies.
     let bigger = SdetConfig {
         scripts_per_cpu: sdet.scripts_per_cpu + 1,
         ..sdet.clone()
     };
-    let resume = CheckpointSpec {
-        dir: dir.clone(),
-        resume: true,
-    };
-    let err = run_figure(
-        &kernel,
-        &bigger,
-        &layouts,
-        Some(&resume),
-        2,
-        &Obs::disabled(),
-    )
-    .unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(
-        err.to_string().contains("header mismatch"),
-        "error must name the mismatch: {err}"
+    assert_eq!(
+        resume_drifted("grid", &sdet, &layouts, (&bigger, &layouts)),
+        0
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }

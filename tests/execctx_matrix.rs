@@ -19,16 +19,21 @@
 //!   and `jobs = 4` at the same capability combination, via
 //!   [`slopt::obs::structural_deltas`], and replay to the same summary
 //!   the live handle holds;
-//! * checkpoint-on points converge bit-identically after the item log is
-//!   truncated mid-stream (torn tail included) and the run resumes.
+//! * checkpoint-on points converge bit-identically after the run log is
+//!   truncated mid-stream (torn tail included) and the run resumes; on
+//!   the permanent plane a holed cell heals exactly when every run its
+//!   holes lost was kept in the log, since a resumed run is never
+//!   scheduled and no fault can fire on it.
 
 use slopt::ir::SupervisePolicy;
 use slopt::obs::prom::to_prometheus;
 use slopt::obs::{replay_str, structural_deltas, Obs, Summary};
 use slopt::sim::CacheConfig;
-use slopt::workload::{baseline_layouts, build_kernel, Kernel, Machine, SdetConfig};
+use slopt::workload::{
+    baseline_layouts, build_kernel, measurement_seeds, Kernel, Machine, SdetConfig,
+};
 use slopt_bench::{
-    measure_cells, resolve, Cell, CheckpointSpec, ExecCtx, FaultConfig, GridOutcome,
+    measure_cells, resolve, Cell, CheckpointSpec, ExecCtx, FaultConfig, GridOutcome, RUNS_FILE,
 };
 use slopt_fault::{exit, FaultPlan};
 use std::collections::HashMap;
@@ -113,6 +118,8 @@ fn bits_of(outcome: &GridOutcome) -> Bits {
 
 struct PointResult {
     bits: Bits,
+    /// Grid indices of the poisoned items.
+    poisoned: Vec<usize>,
     degraded: bool,
     /// The replayed trace, when the point ran with obs on.
     summary: Option<Summary>,
@@ -170,15 +177,17 @@ fn run_point(
     };
     PointResult {
         bits: bits_of(&outcome),
+        poisoned: outcome.report.poisoned.iter().map(|f| f.index).collect(),
         degraded,
         summary,
     }
 }
 
-/// Truncates a checkpoint item log to the header plus half its item
-/// lines, with the next line torn mid-write (no trailing newline).
-fn truncate_log(path: &Path) {
-    let text = std::fs::read_to_string(path).expect("checkpoint log");
+/// Truncates a run log to the header plus half its runs, with the next
+/// line torn mid-write (no trailing newline). Returns the kept runs'
+/// seeds: every cell measures one table, so a run is its seed.
+fn truncate_log(path: &Path) -> Vec<u64> {
+    let text = std::fs::read_to_string(path).expect("run log");
     let mut lines = text.lines();
     let header = lines.next().expect("log header").to_string();
     let items: Vec<&str> = lines.collect();
@@ -195,6 +204,30 @@ fn truncate_log(path: &Path) {
         out.push_str(torn); // no newline: a write died mid-append
     }
     std::fs::write(path, out).expect("truncate log");
+    items[..keep]
+        .iter()
+        .map(|l| {
+            l.split(' ')
+                .nth(2)
+                .and_then(|s| s.parse().ok())
+                .expect("seed")
+        })
+        .collect()
+}
+
+/// What a resume from the `kept` runs must print: the clean reference,
+/// except for cells whose first run lost a measured run that was not
+/// kept — that item is scheduled again and its grid-indexed fault fires
+/// again.
+fn expected_after_resume(poisoned: &[usize], reference: &Bits, kept: &[u64]) -> Bits {
+    let seeds = measurement_seeds(RUNS);
+    (0..reference.len())
+        .map(|c| {
+            let lost = (1..seeds.len())
+                .any(|k| poisoned.contains(&(c * seeds.len() + k)) && !kept.contains(&seeds[k]));
+            reference[c].clone().filter(|_| !lost)
+        })
+        .collect()
 }
 
 fn fresh_dir(base: &Path, tag: &str) -> PathBuf {
@@ -284,7 +317,7 @@ fn the_24_point_capability_lattice_is_behavior_identical() {
                     // Checkpoint convergence: tear the log mid-stream and
                     // resume under the same capabilities.
                     if let Some(dir) = &ckpt_dir {
-                        truncate_log(&dir.join(format!("{NAME}.ckpt")));
+                        let kept = truncate_log(&dir.join(RUNS_FILE));
                         let resumed = run_point(
                             &kernel,
                             &cells,
@@ -296,8 +329,13 @@ fn the_24_point_capability_lattice_is_behavior_identical() {
                             fault,
                             jobs,
                         );
+                        let expected =
+                            expected_after_resume(&point.poisoned, &reference.bits, &kept);
+                        if fault != Fault::Permanent {
+                            assert_eq!(expected, point.bits, "{tag}: nothing to heal");
+                        }
                         assert_eq!(
-                            resumed.bits, point.bits,
+                            resumed.bits, expected,
                             "{tag}: resume after a torn log must converge bit-identically"
                         );
                     }
