@@ -11,7 +11,7 @@
 //! When both reports carry `dense_trimmed_mean_s` (schema /3) the gate
 //! compares trimmed means — per-rep and outlier-robust, so it survives a
 //! rep-count change between baseline and fresh; older reports fall back
-//! to `dense_serial_total_s`. Reads `slopt-perf-report/1` through `/6`
+//! to `dense_serial_total_s`. Reads `slopt-perf-report/1` through `/7`
 //! (schema /5 adds advisory `dense_p50_s` / `dense_p99_s` quantiles,
 //! exact nearest-rank order statistics from /6 on, which the gate
 //! ignores).
@@ -38,7 +38,7 @@
 //!
 //! Usage:
 //! `perf_guard <fresh.json> --baseline <old.json> [--tolerance 0.10]
-//!  [--floor-s 0.05] [--require-speedup cc:2.0]...
+//!  [--floor-s 0.05] [--require-speedup cc:50]...
 //!  [--require-parallel cc:3.0]...`
 
 use slopt_bench::extra_flag;

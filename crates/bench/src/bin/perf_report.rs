@@ -1,16 +1,17 @@
 //! `perf_report` — the self-reporting performance harness.
 //!
-//! Runs three microbenches over the repo's hot paths, each old-vs-new
-//! against the retained reference implementations on identical seeds, and
+//! Runs three microbenches over the repo's hot paths, each new-vs-old
+//! against the retained reference implementation on identical seeds, and
 //! writes `BENCH_sim.json`:
 //!
-//! 1. **cc** — `concurrency_map` (the blocked kernel) vs the frozen
-//!    perf baseline `concurrency_map_reference` (the flat count-tensor
-//!    pipeline) on one synthetic sample stream. `concurrency_map_naive`
-//!    (triple-nested maps) is the test oracle: asserted equal once,
-//!    never timed. The parallel column folds the same stream through
-//!    `StreamingConcurrency::ingest` and `finish(--jobs)`, asserted
-//!    bit-identical to the serial map.
+//! 1. **cc** — `concurrency_map` (the blocked kernel) vs
+//!    `concurrency_map_naive` (the paper's formula over triple-nested
+//!    maps, the one CC oracle) on one synthetic sample stream. The
+//!    oracle is quadratic in samples per interval, so it runs once: that
+//!    one timed run is the reference column (1 rep), and every dense rep
+//!    is asserted equal to it. The parallel column folds the same stream
+//!    through `StreamingConcurrency::ingest` and `finish(--jobs)`,
+//!    asserted bit-identical to the serial map.
 //! 2. **flg_cluster** — dense triangular `Flg` construction + greedy
 //!    clustering vs the hash-map `FlgRef` through the same generic
 //!    `cluster`.
@@ -37,7 +38,7 @@
 //! Flags: `--quick` (smaller workloads, used by ci.sh), `--jobs N`,
 //! `--out PATH` (default `BENCH_sim.json`).
 //!
-//! Schema: `slopt-perf-report/6`. Version 2 added a `peak_rss_kb` field
+//! Schema: `slopt-perf-report/7`. Version 2 added a `peak_rss_kb` field
 //! per bench — the process's high-water resident set (Linux `VmHWM`,
 //! absent elsewhere) sampled right after the bench finishes. Version 3
 //! adds per-bench `dense_trimmed_mean_s` / `reference_trimmed_mean_s`
@@ -52,8 +53,11 @@
 //! version 6 computes them as exact nearest-rank order statistics of the
 //! raw reps (/5 used log2 histogram buckets, which gave p50 = p99 = the
 //! slowest rep for a handful of reps) and times the `cc` bench against
-//! `concurrency_map_reference` instead of the naive oracle. Earlier
-//! fields are unchanged, so /1–/5 consumers can read /6 reports.
+//! the flat count-tensor pipeline the blocked kernel replaced.
+//! Version 7: cc's reference is the naive oracle again, one timed run
+//! (the tensor pipeline is deleted), so its `reference_serial_s` holds
+//! one rep while `reps` counts the dense reps. Earlier fields are
+//! unchanged, so /1–/6 consumers can read /7 reports.
 
 use slopt_bench::{extra_flag, usage_exit, CommonArgs};
 use slopt_core::{canonical_cluster_sum, cluster, DeltaObjective, Flg, FlgRef, Move};
@@ -62,8 +66,8 @@ use slopt_ir::interp::SplitMix64;
 use slopt_ir::source::SourceLine;
 use slopt_ir::types::{FieldIdx, FieldType, PrimType, RecordId, RecordType};
 use slopt_sample::{
-    concurrency_map, concurrency_map_naive, concurrency_map_reference, ConcurrencyConfig, Sample,
-    StreamingConcurrency, PARALLEL_FINISH_MIN_CELLS,
+    concurrency_map, concurrency_map_naive, ConcurrencyConfig, Sample, StreamingConcurrency,
+    PARALLEL_FINISH_MIN_CELLS,
 };
 use slopt_sim::CpuId;
 use std::time::Instant;
@@ -102,7 +106,8 @@ struct BenchResult {
     reps: usize,
     /// Per-rep wall clock of the dense implementation, serial.
     dense_s: Vec<f64>,
-    /// Per-rep wall clock of the reference implementation, serial.
+    /// Per-rep wall clock of the reference implementation, serial (one
+    /// rep for `cc`, whose reference is the naive oracle).
     reference_s: Vec<f64>,
     /// Total wall clock of all dense reps fanned over `--jobs` threads
     /// (`cc` only; `None` elsewhere).
@@ -203,8 +208,8 @@ fn bench_cc(args: &Args) -> BenchResult {
     // Both modes keep ~600 samples per interval, growing the interval
     // count with the stream, so the density (and the per-interval cost
     // ratio) is fixed; the naive oracle, quadratic in samples-per-interval,
-    // stays affordable for its one equivalence check. The quick stream is
-    // still large enough (~143k cells) that `finish(jobs)` fans out.
+    // stays affordable for its one timed run. The quick stream is still
+    // large enough (~143k cells) that `finish(jobs)` fans out.
     let (n, intervals) = if args.quick {
         (150_000, 250u64)
     } else {
@@ -214,28 +219,19 @@ fn bench_cc(args: &Args) -> BenchResult {
     let samples = synth_samples(n, 16, 400, intervals * cfg.interval, 0xCC);
     let reps = 5;
 
+    let (naive, tr) = time(|| concurrency_map_naive(&samples, &cfg));
+    let reference_s = vec![tr];
+    let naive_pairs = naive.pairs();
     let mut dense_s = Vec::new();
-    let mut reference_s = Vec::new();
-    let mut dense_pairs = Vec::new();
     for _ in 0..reps {
         let (dense, td) = time(|| concurrency_map(&samples, &cfg));
         dense_s.push(td);
-        dense_pairs = dense.pairs();
-        let (reference, tr) = time(|| concurrency_map_reference(&samples, &cfg));
-        reference_s.push(tr);
         assert_eq!(
-            dense_pairs,
-            reference.pairs(),
-            "dense and reference concurrency maps disagree"
+            dense.pairs(),
+            naive_pairs,
+            "dense and naive concurrency maps disagree"
         );
     }
-    // The naive formulation is the test oracle, checked once and
-    // never timed.
-    assert_eq!(
-        dense_pairs,
-        concurrency_map_naive(&samples, &cfg).pairs(),
-        "dense and naive concurrency maps disagree"
-    );
     // The parallel column times a fan-out only above the final fold's
     // serial threshold: count the stream's cells, untimed.
     let stats = slopt_obs::Obs::aggregating();
@@ -261,8 +257,8 @@ fn bench_cc(args: &Args) -> BenchResult {
         jobs_total += tj;
         assert_eq!(
             fanned.pairs(),
-            dense_pairs,
-            "the fanned fold diverged from the serial map"
+            naive_pairs,
+            "the fanned fold diverged from the naive map"
         );
     }
     BenchResult {
@@ -541,7 +537,7 @@ fn write_report(path: &str, args: &Args, results: &[BenchResult]) -> std::io::Re
         benches.push(format!("    {{\n{}\n    }}", fields.join(",\n")));
     }
     let doc = format!(
-        "{{\n  \"schema\": \"slopt-perf-report/6\",\n  \"quick\": {},\n  \"jobs\": {},\n  \"host_cores\": {},\n  \"equivalence_checked\": true,\n  \"benches\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"slopt-perf-report/7\",\n  \"quick\": {},\n  \"jobs\": {},\n  \"host_cores\": {},\n  \"equivalence_checked\": true,\n  \"benches\": [\n{}\n  ]\n}}\n",
         args.quick,
         args.jobs,
         host_cores(),

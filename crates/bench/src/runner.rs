@@ -26,7 +26,7 @@
 //! are keyed by grid index, and results are collected by `(cell, seed)`
 //! index — so the output is bit-identical for every `jobs` value,
 //! including `jobs == 1` (which spawns no threads at all), and invariant
-//! under resume from the run store ([`crate::store`]).
+//! under resume from the run store (the private `store` module).
 
 use slopt_core::{par_map_supervised_commit, FaultReport, SupervisePolicy, WorkerError};
 use slopt_fault::{exit, FaultKind, FaultPlan};
@@ -316,9 +316,10 @@ pub(crate) fn run_items<I: Sync, T: Send>(
 ///
 /// * **Run memo** (`ctx.memo`): each grid item's run is keyed on a
 ///   digest of the program, the cell's canonical layout table, machine and
-///   workload config, plus the seed ([`crate::store`]). A run the context
-///   already simulated — in this grid or an earlier one — is reused, and a
-///   duplicate in flight waits for the first. Every item still gets its
+///   workload config, plus the seed (the private `store` module). A run
+///   the context already simulated — in this grid or an earlier one — is
+///   reused, and a duplicate in flight waits for the first. Every item
+///   still gets its
 ///   `measure_cell` span, its `figure.cell_makespan` sample and its fault
 ///   decision, so traces and chaos do not see the memo; `sim.memo_runs`
 ///   and `sim.memo_hits` count the simulated and reused items.

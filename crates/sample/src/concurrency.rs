@@ -38,14 +38,13 @@
 //! three keep their cells in its sorted run and finish through the same
 //! `finish_cells`, so the paths cannot drift apart.
 //!
-//! Two earlier formulations are retained for differential testing and the
-//! `perf_report` old-vs-new comparison: [`concurrency_map_reference`]
-//! (the flat `[interval × cpu × line]` count-tensor pipeline this kernel
-//! replaced) and [`concurrency_map_naive`] (triple-nested maps). All
-//! three produce identical maps.
+//! One oracle is kept beside it: [`concurrency_map_naive`], the paper's
+//! formula as written over triple-nested maps. The equivalence tests
+//! compare every path with it, and `perf_report` times the blocked
+//! kernel against it.
 
 use crate::sampler::Sample;
-use crate::shard::StreamingConcurrency;
+use crate::window::StreamingConcurrency;
 use slopt_ir::par::par_map;
 use slopt_ir::source::SourceLine;
 use slopt_obs::Obs;
@@ -160,8 +159,8 @@ impl ConcurrencyMap {
 
     /// Assembles a map from an interner and a normalized
     /// `(min_id, max_id) -> cc` pair map. Used by the final fold
-    /// (`finish_cells`) and [`concurrency_map_reference`]; callers must
-    /// guarantee keys are normalized and non-zero.
+    /// (`finish_cells`); callers must guarantee keys are normalized and
+    /// non-zero.
     pub(crate) fn from_parts(interner: LineInterner, map: HashMap<(u32, u32), u64>) -> Self {
         debug_assert!(map.iter().all(|(&(a, b), &cc)| a <= b && cc > 0));
         ConcurrencyMap { interner, map }
@@ -243,7 +242,7 @@ const ROW_LANES: usize = 8;
 
 /// Per-pair min-sum accumulator shared by the batch path
 /// ([`concurrency_map`]) and the streaming path
-/// ([`crate::shard::StreamingConcurrency`]): a dense triangular `u64`
+/// ([`crate::StreamingConcurrency`]): a dense triangular `u64`
 /// array when the line universe is small, a hash map beyond
 /// ([`DENSE_ACCUMULATOR_LINE_LIMIT`]).
 ///
@@ -430,7 +429,8 @@ impl MinsumScratch {
 /// is an exact `u64` add/subtract and, per cell, the additions dominate
 /// the subtractions at every point of the schedule (Σ_t A_t(i)A_t(j) ≥
 /// Σ_t B_t(i,j) termwise), so nothing underflows and the result is
-/// bit-identical to the reference kernel for any evaluation order.
+/// bit-identical to the cpu-pair walk of `interval_minsum_sparse` for
+/// any evaluation order.
 ///
 /// Sparse accumulators (line universe beyond
 /// [`DENSE_ACCUMULATOR_LINE_LIMIT`]) take the compact two-pointer
@@ -546,7 +546,8 @@ pub(crate) fn interval_minsum(
 /// The sparse-accumulator fallback of [`interval_minsum`]: the compact
 /// cpu-pair formulation over per-CPU lanes with a monotone merge cursor
 /// (no dense per-line vector, no triangle). Same exact arithmetic, same
-/// result.
+/// result. It only calls [`CcAccumulator::add`], so it runs into a dense
+/// accumulator too: the kernel test drives it beside the blocked kernel.
 fn interval_minsum_sparse(cells: &[Cell], scratch: &mut MinsumScratch, acc: &mut CcAccumulator) {
     scratch.lanes.clear();
     let mut i = 0usize;
@@ -780,108 +781,9 @@ pub fn concurrency_map_obs(
     stream.fold(1, obs)
 }
 
-/// Accumulates one interval's min-sum from its flat `[cpu × line]` count
-/// block (`rows`, length `n_cpus * n_lines`) — the **retained reference
-/// kernel** the blocked [`interval_minsum`] replaced. `touched` is
-/// caller-provided scratch (one sorted touched-line list per CPU, cleared
-/// here). Used by [`concurrency_map_reference`] and the kernel
-/// equivalence tests; produces exactly the same accumulator contents as
-/// the blocked kernel on the same interval.
-pub(crate) fn interval_minsum_reference(
-    rows: &[u64],
-    n_cpus: usize,
-    n_lines: usize,
-    touched: &mut [Vec<u32>],
-    acc: &mut CcAccumulator,
-) {
-    debug_assert_eq!(rows.len(), n_cpus * n_lines);
-    debug_assert_eq!(touched.len(), n_cpus);
-    for (ci, t) in touched.iter_mut().enumerate() {
-        t.clear();
-        let row = &rows[ci * n_lines..(ci + 1) * n_lines];
-        t.extend(
-            row.iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(li, _)| li as u32),
-        );
-    }
-    for m in 0..n_cpus {
-        let row_m = &rows[m * n_lines..(m + 1) * n_lines];
-        for n in 0..n_cpus {
-            if m == n {
-                continue;
-            }
-            let row_n = &rows[n * n_lines..(n + 1) * n_lines];
-            for &li in &touched[m] {
-                let ci = row_m[li as usize];
-                // Accumulate each ordered (line_i, line_j) pair once:
-                // keep only li <= lj so the normalized key receives
-                // exactly the paper's Σ_{m≠n} min(F(m,Bi), F(n,Bj)).
-                let from = touched[n].partition_point(|&lj| lj < li);
-                for &lj in &touched[n][from..] {
-                    acc.add(li, lj, ci.min(row_n[lj as usize]));
-                }
-            }
-        }
-    }
-}
-
-/// The flat count-tensor pipeline the blocked kernel replaced, retained
-/// verbatim as the batch **reference implementation**: lines, CPUs and
-/// intervals are interned, counts are bucketed into a flat
-/// `[interval × cpu × line]` tensor, and each interval's block runs
-/// through [`interval_minsum_reference`]. Used by the kernel-equivalence
-/// property tests and by `perf_report`'s `cc` bench as the
-/// frozen old-vs-new baseline. Produces a map equal to
-/// [`concurrency_map`]'s, bit for bit.
-///
-/// # Panics
-///
-/// Panics if `cfg.interval` is zero.
-pub fn concurrency_map_reference(samples: &[Sample], cfg: &ConcurrencyConfig) -> ConcurrencyMap {
-    assert!(cfg.interval > 0, "interval must be non-zero");
-    if samples.is_empty() {
-        return ConcurrencyMap::empty();
-    }
-
-    let interner = LineInterner::from_lines(samples.iter().map(|s| s.line));
-    let n_lines = interner.len();
-
-    // Intern intervals and CPUs the same way: sorted distinct values.
-    let mut intervals: Vec<u64> = samples.iter().map(|s| s.time / cfg.interval).collect();
-    intervals.sort_unstable();
-    intervals.dedup();
-    let mut cpus: Vec<u16> = samples.iter().map(|s| s.cpu.0).collect();
-    cpus.sort_unstable();
-    cpus.dedup();
-    let (n_intervals, n_cpus) = (intervals.len(), cpus.len());
-
-    // The flat [interval × cpu × line] count tensor.
-    let mut counts = vec![0u64; n_intervals * n_cpus * n_lines];
-    for s in samples {
-        let ti = intervals
-            .binary_search(&(s.time / cfg.interval))
-            .expect("interval interned");
-        let ci = cpus.binary_search(&s.cpu.0).expect("cpu interned");
-        let li = interner.id(s.line).expect("line interned").index();
-        counts[(ti * n_cpus + ci) * n_lines + li] += 1;
-    }
-
-    let mut acc = CcAccumulator::new(n_lines);
-    let mut touched: Vec<Vec<u32>> = vec![Vec::new(); n_cpus];
-    for ti in 0..n_intervals {
-        let base = ti * n_cpus * n_lines;
-        let rows = &counts[base..base + n_cpus * n_lines];
-        interval_minsum_reference(rows, n_cpus, n_lines, &mut touched, &mut acc);
-    }
-
-    ConcurrencyMap::from_parts(interner, acc.into_map())
-}
-
-/// The original triple-nested-map formulation, retained as the oldest
-/// reference implementation: used by the equivalence property tests and
-/// by `perf_report` to measure the rewrites against, on identical
+/// The paper's formula as written, over triple-nested maps: the one
+/// whole-map oracle. The equivalence tests compare every CC path with it,
+/// and `perf_report` times [`concurrency_map`] against it on identical
 /// inputs. Produces a map equal to [`concurrency_map`]'s.
 ///
 /// # Panics
@@ -1062,25 +964,11 @@ mod tests {
         assert_eq!(dense.pairs(), naive.pairs());
     }
 
-    /// Deterministic random stream: `n` samples over the given universe.
-    fn random_samples(n: usize, cpus: u16, lines: u32, span: u64, seed: u64) -> Vec<Sample> {
-        let mut rng = SplitMix64::new(seed);
-        (0..n)
-            .map(|_| {
-                sample(
-                    (rng.next_u64() % u64::from(cpus)) as u16,
-                    rng.next_u64() % span,
-                    (rng.next_u64() % u64::from(lines)) as u32,
-                )
-            })
-            .collect()
-    }
-
     #[test]
-    fn blocked_kernel_equals_reference_kernel_directly() {
-        // Drive both kernels on the same per-interval inputs across random
-        // shapes, including line counts straddling the ROW_LANES and
-        // MERGE_BLOCK tile edges (1, 7, 8, 9, 63, 64, 65...).
+    fn blocked_kernel_equals_sparse_kernel_directly() {
+        // Drive the blocked kernel and the cpu-pair walk on the same
+        // per-interval cells across random shapes, including line counts
+        // straddling the ROW_LANES tile edge (1, 7, 8, 9, 63, 64, 65...).
         let mut rng = SplitMix64::new(0xB10C);
         for &n_lines in &[1usize, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 90, 128, 130] {
             for case in 0..4u64 {
@@ -1095,12 +983,7 @@ mod tests {
                     rows[idx] += 1 + rng.next_u64() % 3;
                 }
 
-                // Reference: the retained rows-based kernel.
-                let mut ref_acc = CcAccumulator::new(n_lines);
-                let mut touched: Vec<Vec<u32>> = vec![Vec::new(); n_cpus];
-                interval_minsum_reference(&rows, n_cpus, n_lines, &mut touched, &mut ref_acc);
-
-                // Blocked: the same block as sorted cells.
+                // The same block as (cpu, line)-sorted cells.
                 let mut cells: Vec<Cell> = Vec::new();
                 for (ci, chunk) in rows.chunks(n_lines).enumerate() {
                     for (li, &c) in chunk.iter().enumerate() {
@@ -1112,24 +995,17 @@ mod tests {
                 let mut acc = CcAccumulator::new(n_lines);
                 let mut scratch = MinsumScratch::new(n_lines, acc.is_dense());
                 interval_minsum(&cells, n_lines, &mut scratch, &mut acc);
+                // The cpu-pair walk into a dense accumulator of its own.
+                let mut walk_acc = CcAccumulator::new(n_lines);
+                assert!(walk_acc.is_dense());
+                interval_minsum_sparse(&cells, &mut scratch, &mut walk_acc);
 
                 assert_eq!(
                     acc.into_map(),
-                    ref_acc.into_map(),
+                    walk_acc.into_map(),
                     "kernel divergence at n_lines={n_lines} n_cpus={n_cpus} case={case}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn new_pipeline_equals_reference_pipeline_on_random_streams() {
-        for seed in 0..8u64 {
-            let samples = random_samples(600, 6, 40, 2_000, 0x5EED + seed);
-            let cfg = ConcurrencyConfig { interval: 250 };
-            let new = concurrency_map(&samples, &cfg);
-            let reference = concurrency_map_reference(&samples, &cfg);
-            assert_eq!(new, reference, "pipeline divergence at seed {seed}");
         }
     }
 
@@ -1153,7 +1029,6 @@ mod tests {
         let cm = concurrency_map(&samples, &cfg);
         assert!(cm.interner().len() > 100, "universe should be wide");
         assert_eq!(cm, concurrency_map_naive(&samples, &cfg));
-        assert_eq!(cm, concurrency_map_reference(&samples, &cfg));
     }
 
     #[test]
@@ -1234,11 +1109,5 @@ mod tests {
     #[should_panic(expected = "interval must be non-zero")]
     fn zero_interval_rejected_by_naive() {
         concurrency_map_naive(&[], &ConcurrencyConfig { interval: 0 });
-    }
-
-    #[test]
-    #[should_panic(expected = "interval must be non-zero")]
-    fn zero_interval_rejected_by_reference() {
-        concurrency_map_reference(&[], &ConcurrencyConfig { interval: 0 });
     }
 }

@@ -19,9 +19,9 @@
 //! Graph built in `slopt-core`.
 //!
 //! For traces that arrive in pieces, [`shard`] carries samples as
-//! `slopt-shard/1` shards and folds them with the bounded-memory
-//! [`StreamingConcurrency`] (bit-identical to step 2) or the sliding
-//! [`WindowedConcurrency`] of the `slopt-serve` daemon, whose
+//! `slopt-shard/1` shards, and [`window`] folds them with the
+//! bounded-memory [`StreamingConcurrency`] (bit-identical to step 2) or
+//! the sliding [`WindowedConcurrency`] of the `slopt-serve` daemon, whose
 //! [`WindowedConcurrency::ingest_dir`] is the one fold over a shard
 //! directory.
 
@@ -32,14 +32,13 @@ pub mod concurrency;
 pub mod cycleloss;
 pub mod sampler;
 pub mod shard;
+pub mod window;
 
 pub use concurrency::{
-    concurrency_map, concurrency_map_naive, concurrency_map_obs, concurrency_map_reference,
-    ConcurrencyConfig, ConcurrencyMap, LineId, LineInterner, PARALLEL_FINISH_MIN_CELLS,
+    concurrency_map, concurrency_map_naive, concurrency_map_obs, ConcurrencyConfig, ConcurrencyMap,
+    LineId, LineInterner, PARALLEL_FINISH_MIN_CELLS,
 };
 pub use cycleloss::{cycle_loss, cycle_loss_filtered, cycle_loss_weighted, CycleLossMap};
 pub use sampler::{ExactCounter, Sample, Sampler, SamplerConfig};
-pub use shard::{
-    decode_shard, encode_shard, read_shard, shard_files, write_shard, ShardError,
-    StreamingConcurrency, WindowedConcurrency,
-};
+pub use shard::{decode_shard, encode_shard, read_shard, shard_files, write_shard, ShardError};
+pub use window::{StreamingConcurrency, WindowedConcurrency};

@@ -6,9 +6,8 @@ use slopt_ir::cfg::{BlockId, FuncId};
 use slopt_ir::source::SourceLine;
 use slopt_obs::Obs;
 use slopt_sample::{
-    concurrency_map, concurrency_map_naive, concurrency_map_reference, decode_shard, encode_shard,
-    read_shard, write_shard, ConcurrencyConfig, Sample, Sampler, SamplerConfig,
-    StreamingConcurrency, WindowedConcurrency,
+    concurrency_map, concurrency_map_naive, decode_shard, encode_shard, read_shard, write_shard,
+    ConcurrencyConfig, Sample, Sampler, SamplerConfig, StreamingConcurrency, WindowedConcurrency,
 };
 use slopt_sim::{CpuId, Observer};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -316,13 +315,13 @@ proptest! {
         assert_decode_is_total(&edit_shard(valid, kind, at, value));
     }
 
-    /// The blocked threshold-decomposition kernel equals the retained
-    /// flat-tensor reference pipeline on arbitrary streams, across line
-    /// universes that straddle the kernel's lane width (8) and other
+    /// The blocked threshold-decomposition kernel equals the naive
+    /// nested-map formula on arbitrary streams, across line universes
+    /// that straddle the kernel's lane width (8) and other
     /// non-multiple-of-tile shapes: identical map, interner and pair
     /// list, bit for bit.
     #[test]
-    fn blocked_kernel_matches_reference_pipeline(
+    fn blocked_kernel_matches_naive_on_lane_edge_widths(
         samples in prop::collection::vec((0u16..6, 0u64..20_000, 0u32..0xFFFF), 0..250),
         lines_pick in 0usize..8,
         interval_pick in 0usize..3,
@@ -337,10 +336,10 @@ proptest! {
             .collect();
         let cfg = ConcurrencyConfig { interval: [100u64, 1_000, 7_919][interval_pick] };
         let blocked = concurrency_map(&samples, &cfg);
-        let reference = concurrency_map_reference(&samples, &cfg);
-        prop_assert_eq!(&blocked, &reference);
-        prop_assert_eq!(blocked.pairs(), reference.pairs());
-        prop_assert_eq!(blocked.interner(), reference.interner());
+        let naive = concurrency_map_naive(&samples, &cfg);
+        prop_assert_eq!(&blocked, &naive);
+        prop_assert_eq!(blocked.pairs(), naive.pairs());
+        prop_assert_eq!(blocked.interner(), naive.interner());
     }
 
     /// The pairwise parallel accumulator merge equals the serial fold at
