@@ -174,16 +174,16 @@ rm -rf "$CKPT_TMP" "$RESUME_TRACE_TMP"
 
 echo "== run store reuse across processes (fig10 --resume after fig8) =="
 # One run log serves every grid: fig10 re-measures fig8's baseline and
-# tool cells (and two constrained cells coincide with fig8's), so 56 of
-# its 77 grid items resume from fig8's log, and the figure is the bytes
+# tool cells (and two constrained cells coincide with fig8's), so 48 of
+# its 66 grid items resume from fig8's log, and the figure is the bytes
 # of a clean fig10 run.
 REUSE_DIR="$(mktemp -d /tmp/slopt_reuse.XXXXXX)"
 ./target/release/fig8 --checkpoint-dir "$REUSE_DIR/ckpt" > /dev/null 2>&1
 ./target/release/fig10 --checkpoint-dir "$REUSE_DIR/ckpt" --resume --stats \
     > "$REUSE_DIR/resumed.txt" 2> /dev/null
 ./target/release/fig10 > "$REUSE_DIR/clean.txt" 2> /dev/null
-grep -Eq '^ *ckpt\.items_resumed +56$' "$REUSE_DIR/resumed.txt" \
-    || { echo "fig10 after fig8: expected 56 resumed grid items"; exit 1; }
+grep -Eq '^ *ckpt\.items_resumed +48$' "$REUSE_DIR/resumed.txt" \
+    || { echo "fig10 after fig8: expected 48 resumed grid items"; exit 1; }
 sed '/^=== run stats ===$/,$d' "$REUSE_DIR/resumed.txt" | cmp - "$REUSE_DIR/clean.txt" \
     || { echo "fig10 resumed from fig8's runs differs from a clean fig10"; exit 1; }
 rm -rf "$REUSE_DIR"
@@ -221,10 +221,10 @@ SEARCH_STATS="$(mktemp /tmp/slopt_search_stats.XXXXXX.txt)"
 sed '/^=== run stats ===$/,$d' "$SEARCH_STATS" > "$SEARCH_J1"
 cmp "$SEARCH_J1" "$SEARCH_J4" \
     || { echo "search --seed 42: --jobs 1 and --jobs 4 tables differ"; exit 1; }
-grep -Eq '^ *sim\.memo_runs +42$' "$SEARCH_STATS" \
-    || { echo "search --seed 42: expected 42 simulated runs"; exit 1; }
-grep -Eq '^ *sim\.memo_hits +24$' "$SEARCH_STATS" \
-    || { echo "search --seed 42: expected 24 memo hits"; exit 1; }
+grep -Eq '^ *sim\.memo_runs +35$' "$SEARCH_STATS" \
+    || { echo "search --seed 42: expected 35 simulated runs"; exit 1; }
+grep -Eq '^ *sim\.memo_hits +20$' "$SEARCH_STATS" \
+    || { echo "search --seed 42: expected 20 memo hits"; exit 1; }
 rm -f "$SEARCH_J1" "$SEARCH_J4" "$SEARCH_STATS"
 
 echo "== figures golden (slopt-tool figures --jobs 2, byte for byte) =="
@@ -245,16 +245,16 @@ awk '$1 ~ /^runner\.worker[0-9]+\.utilization$/ && $2 > 1 { print; bad = 1 } END
 rm -f "$FIGURES_J2_STATS_TMP"
 # The serial run must print the same bytes: the run memo (each distinct
 # simulation runs once per process) may not depend on --jobs. Its
-# counters pin the grid: 238 items, 175 distinct runs, 63 reused.
+# counters pin the grid: 204 items, 150 distinct runs, 54 reused.
 FIGURES_STATS_TMP="$(mktemp /tmp/slopt_figures_stats.XXXXXX.txt)"
 ./target/release/slopt-tool figures --jobs 1 --stats > "$FIGURES_STATS_TMP" 2> /dev/null
 sed '/^=== run stats ===$/,$d' "$FIGURES_STATS_TMP" > "$FIGURES_TMP"
 cmp tests/data/figures_jobs2.golden.txt "$FIGURES_TMP" \
     || { echo "slopt-tool figures --jobs 1 differs from the --jobs 2 golden"; exit 1; }
-grep -Eq '^ *sim\.memo_runs +175$' "$FIGURES_STATS_TMP" \
-    || { echo "slopt-tool figures: expected 175 simulated runs"; exit 1; }
-grep -Eq '^ *sim\.memo_hits +63$' "$FIGURES_STATS_TMP" \
-    || { echo "slopt-tool figures: expected 63 memo hits"; exit 1; }
+grep -Eq '^ *sim\.memo_runs +150$' "$FIGURES_STATS_TMP" \
+    || { echo "slopt-tool figures: expected 150 simulated runs"; exit 1; }
+grep -Eq '^ *sim\.memo_hits +54$' "$FIGURES_STATS_TMP" \
+    || { echo "slopt-tool figures: expected 54 memo hits"; exit 1; }
 rm -f "$FIGURES_TMP" "$FIGURES_STATS_TMP"
 
 echo "== ablate golden (every ablation row, --jobs 2 and --jobs 1, byte for byte) =="
@@ -263,16 +263,16 @@ ABLATE_TMP="$(mktemp /tmp/slopt_ablate.XXXXXX.txt)"
 cmp tests/data/ablate_jobs2.golden.txt "$ABLATE_TMP" \
     || { echo "ablate drifted from its golden"; exit 1; }
 # The rows share one run memo; its counters, like the tables, may not
-# depend on --jobs: 371 grid items, 189 distinct runs, 182 reused.
+# depend on --jobs: 318 grid items, 162 distinct runs, 156 reused.
 ABLATE_STATS_TMP="$(mktemp /tmp/slopt_ablate_stats.XXXXXX.txt)"
 ./target/release/ablate --jobs 1 --stats > "$ABLATE_STATS_TMP" 2> /dev/null
 sed '/^=== run stats ===$/,$d' "$ABLATE_STATS_TMP" > "$ABLATE_TMP"
 cmp tests/data/ablate_jobs2.golden.txt "$ABLATE_TMP" \
     || { echo "ablate --jobs 1 differs from the --jobs 2 golden"; exit 1; }
-grep -Eq '^ *sim\.memo_runs +189$' "$ABLATE_STATS_TMP" \
-    || { echo "ablate: expected 189 simulated runs"; exit 1; }
-grep -Eq '^ *sim\.memo_hits +182$' "$ABLATE_STATS_TMP" \
-    || { echo "ablate: expected 182 memo hits"; exit 1; }
+grep -Eq '^ *sim\.memo_runs +162$' "$ABLATE_STATS_TMP" \
+    || { echo "ablate: expected 162 simulated runs"; exit 1; }
+grep -Eq '^ *sim\.memo_hits +156$' "$ABLATE_STATS_TMP" \
+    || { echo "ablate: expected 156 memo hits"; exit 1; }
 rm -f "$ABLATE_TMP" "$ABLATE_STATS_TMP"
 
 echo "== perf_report --quick --jobs 4 (refresh BENCH_sim.json) + perf_guard =="

@@ -22,7 +22,8 @@
 //!   and [`GridError::exit`] is the binaries' one failure exit.
 //!
 //! Determinism contract: cells carry their entire configuration, run
-//! seeds come from [`slopt_workload::measurement_seeds`], fault decisions
+//! seeds are the measured seeds of [`slopt_workload::measurement_seeds`]
+//! (no warm-up run: a simulated run starts cold), fault decisions
 //! are keyed by grid index, and results are collected by `(cell, seed)`
 //! index — so the output is bit-identical for every `jobs` value,
 //! including `jobs == 1` (which spawns no threads at all), and invariant
@@ -304,8 +305,8 @@ pub(crate) fn run_items<I: Sync, T: Send>(
     }
 }
 
-/// Measures every cell — a warm-up plus `runs` measured runs each —
-/// under the given execution context, and returns one (possibly holed)
+/// Measures every cell — `runs` measured runs each — under the given
+/// execution context, and returns one (possibly holed)
 /// [`Throughput`] per cell, in cell order.
 ///
 /// The grid is flattened to `(cell, run seed)` work items, the finest
@@ -366,7 +367,7 @@ pub fn measure_cells(
 ) -> std::io::Result<GridOutcome> {
     assert!(runs > 0, "need at least one measured run");
     let obs = &ctx.obs;
-    let seeds = measurement_seeds(runs);
+    let seeds = &measurement_seeds(runs)[1..];
     let grid: Vec<(usize, u64)> = (0..cells.len())
         .flat_map(|c| seeds.iter().map(move |&seed| (c, seed)))
         .collect();
@@ -404,7 +405,7 @@ pub fn measure_cells(
         .map(|(i, &(c, seed))| (i, c, seed))
         .collect();
     eprintln!(
-        "[runner] measuring {} cells x {} runs (+warm-up), {} item(s) on {} thread(s)...",
+        "[runner] measuring {} cells x {} runs, {} item(s) on {} thread(s)...",
         cells.len(),
         runs,
         pending.len(),
@@ -477,7 +478,7 @@ pub fn measure_cells(
     }
     if obs.enabled() {
         obs.counter("runner.cells", cells.len() as u64);
-        obs.counter("runner.runs_per_cell", seeds.len() as u64);
+        obs.counter("runner.runs_per_cell", runs as u64);
         obs.counter("sim.memo_runs", memo_runs.into_inner());
         obs.counter("sim.memo_hits", memo_hits.into_inner());
         let wall_us = t0.elapsed().as_secs_f64() * 1e6;
@@ -492,12 +493,12 @@ pub fn measure_cells(
             }
         }
     }
-    // Assemble per-cell results. A cell is a hole iff any of its
-    // *measured* runs (chunk[1..]; chunk[0] is the warm-up) is missing.
+    // Assemble per-cell results. A cell is a hole iff any of its runs is
+    // missing.
     let measured = values
-        .chunks_exact(seeds.len())
+        .chunks_exact(runs)
         .map(|chunk| {
-            chunk[1..]
+            chunk
                 .iter()
                 .copied()
                 .collect::<Option<Vec<f64>>>()
@@ -707,7 +708,7 @@ mod tests {
     use super::*;
     use slopt_ir::{FieldIdx, StructLayout};
     use slopt_sim::CacheConfig;
-    use slopt_workload::{baseline_layouts, build_kernel, layouts_with, measure};
+    use slopt_workload::{baseline_layouts, build_kernel, layouts_with};
 
     fn small_cfg() -> SdetConfig {
         SdetConfig {
@@ -777,8 +778,8 @@ mod tests {
         let traced = complete(measure_cells(&ctx, "grid", &kernel, &cells, 2).expect("no I/O"));
         assert_eq!(plain[0].runs, traced[0].runs);
         let s = obs.summary();
-        // One warm-up + two measured runs for the single cell.
-        assert_eq!(s.spans["measure_cell"].count, 3);
+        // Two measured runs for the single cell.
+        assert_eq!(s.spans["measure_cell"].count, 2);
         assert_eq!(s.spans["measure_grid"].count, 1);
         assert_eq!(s.metrics.counter("runner.cells"), 1);
     }
@@ -827,9 +828,9 @@ mod tests {
         let kept: Vec<&str> = text.lines().take(3).collect();
         std::fs::write(&path, format!("{}\n", kept.join("\n"))).unwrap();
 
-        // 2 cells x (warm-up + 3 runs) = 8 grid items, 6 of them measured.
+        // 2 cells x 3 runs = 6 grid items, 2 of them logged.
         let (resumed, items, memo) = resumed_grid(spec(true), &kernel, &cells, 3);
-        assert_eq!((items, memo), (2, (6, 0)));
+        assert_eq!((items, memo), (2, (4, 0)));
         for ((a, b), c) in plain.iter().zip(&full).zip(&resumed) {
             assert_eq!(a.mean, b.mean);
             assert_eq!(a.runs, c.runs);
@@ -841,13 +842,11 @@ mod tests {
     #[test]
     fn cells_match_direct_measure_for_any_job_count() {
         let (kernel, cells) = small_cells(3);
-        let direct = measure(
-            &kernel,
-            &cells[0].table,
-            &cells[0].machine,
-            &cells[0].sdet,
-            3,
-            1,
+        let direct = Throughput::from_runs(
+            direct_runs(&kernel, &cells[0], 3)
+                .into_iter()
+                .map(f64::from_bits)
+                .collect(),
         );
         for jobs in [1, 4] {
             let out = complete(
@@ -895,9 +894,9 @@ mod tests {
         let out = measure_cells(&ctx, "t", &kernel, &cells, 2).expect("no ckpt I/O");
         assert!(out.measured.iter().all(Option::is_none));
         assert!(out.report.degraded());
-        // 2 cells x (warm-up + 2 runs) grid items, each poisoned on its
-        // first attempt (permanent faults never retry).
-        assert_eq!(out.report.poisoned.len(), 6);
+        // 2 cells x 2 runs grid items, each poisoned on its first attempt
+        // (permanent faults never retry).
+        assert_eq!(out.report.poisoned.len(), 4);
         for (gi, f) in out.report.poisoned.iter().enumerate() {
             assert_eq!(f.index, gi, "poisoned indices are grid indices");
             assert_eq!(f.attempts, 1);
@@ -908,7 +907,7 @@ mod tests {
     #[test]
     fn fault_reports_and_holes_are_jobs_invariant() {
         let (kernel, cells) = small_cells(2);
-        let fc = fault_cfg("seed=5,permanent=0.4,transient=0.3", 4);
+        let fc = fault_cfg("seed=7,permanent=0.4,transient=0.3", 4);
         let o1 = measure_cells(
             &ExecCtx::bare(1).with_fault(fc.clone()),
             "t",
@@ -948,10 +947,10 @@ mod tests {
         );
         // Every accepted item is logged (no write-error in the plan), no
         // holed one is: a resume simulates exactly the holes. 2 cells x
-        // (warm-up + 2 runs) = 6 grid items.
+        // 2 runs = 4 grid items.
         let holes = out.report.poisoned.len() as u64;
         let (_, resumed, memo) = resumed_grid(spec(true), &kernel, &cells, 2);
-        assert_eq!((resumed, memo), (6 - holes, (holes, 0)));
+        assert_eq!((resumed, memo), (4 - holes, (holes, 0)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -986,13 +985,7 @@ mod tests {
         assert_eq!(poisoned(cell_path), poisoned(fig_path));
 
         // And a complete grid resolves to the values in cell order.
-        let clean = measure_cells(&ExecCtx::bare(1), "t", &kernel, &cells, 2).expect("no I/O");
-        let labelled: Vec<(String, Option<Throughput>)> = cells
-            .iter()
-            .map(|c| c.label.clone())
-            .zip(clean.measured)
-            .collect();
-        let vals = resolve("t", labelled, &clean.report).expect("complete grid");
+        let vals = measure_complete(&ExecCtx::bare(1), "t", &kernel, &cells, 2).expect("complete");
         assert_eq!(vals.len(), 2);
     }
 
@@ -1065,15 +1058,15 @@ mod tests {
         for (t, cell) in out.iter().zip(&cells) {
             assert_eq!(run_bits(t), direct_runs(&kernel, cell, 3));
         }
-        // Two distinct tables x (warm-up + 3 runs) simulate; the rest hit.
-        assert_eq!(memo_counts(&obs), (8, 8));
+        // Two distinct tables x 3 runs simulate; the rest hit.
+        assert_eq!(memo_counts(&obs), (6, 6));
         // A second grid under the same context reuses every run.
         let again = complete(measure_cells(&ctx, "dup", &kernel, &cells, 3).expect("no I/O"));
         assert_eq!(
             out.iter().map(run_bits).collect::<Vec<_>>(),
             again.iter().map(run_bits).collect::<Vec<_>>()
         );
-        assert_eq!(memo_counts(&obs), (8, 24));
+        assert_eq!(memo_counts(&obs), (6, 18));
     }
 
     #[test]
@@ -1087,7 +1080,7 @@ mod tests {
         for _ in 0..2 {
             measure_cells(&ctx, "util", &kernel, &cells, 3).expect("no I/O");
         }
-        assert_eq!(memo_counts(&ctx.obs), (8, 24));
+        assert_eq!(memo_counts(&ctx.obs), (6, 18));
         let gauges: Vec<f64> = events
             .lock()
             .unwrap()
@@ -1117,7 +1110,7 @@ mod tests {
         let ctx = ExecCtx::bare(1).with_obs(obs.clone());
         let out = complete(measure_cells(&ctx, "groups", &kernel, &cells, 2).expect("no I/O"));
         assert_eq!(out.iter().map(run_bits).collect::<Vec<_>>(), direct);
-        assert_eq!(memo_counts(&obs), (6, 0));
+        assert_eq!(memo_counts(&obs), (4, 0));
     }
 
     #[test]
@@ -1131,16 +1124,16 @@ mod tests {
         let (dir, spec) = ckpt_dir("fp");
         let ctx = ExecCtx::bare(1).with_checkpoint(spec(false));
         measure_cells(&ctx, "t", &kernel, &cells, 2).expect("ckpt I/O");
-        // Cell 1's layouts changed: its three items miss and simulate,
+        // Cell 1's layouts changed: its two items miss and simulate,
         // cell 0's resume, and the result is the changed grid's own.
         let (out, resumed, memo) = resumed_grid(spec(true), &kernel, &changed, 2);
-        assert_eq!((resumed, memo), (3, (3, 0)));
+        assert_eq!((resumed, memo), (2, (2, 0)));
         let bits = |t: &[Throughput]| t.iter().map(run_bits).collect::<Vec<_>>();
         assert_eq!(bits(&out), bits(&clean));
         // The log now holds both grids' runs: either resumes whole.
         for grid in [&cells, &changed] {
             let (_, resumed, memo) = resumed_grid(spec(true), &kernel, grid, 2);
-            assert_eq!((resumed, memo), (6, (0, 0)));
+            assert_eq!((resumed, memo), (4, (0, 0)));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1154,7 +1147,42 @@ mod tests {
             measure_cells(&ctx, "jobs", &kernel, &cells, 2).expect("no I/O");
             memo_counts(&obs)
         });
-        assert_eq!(counts[0], (6, 3));
+        assert_eq!(counts[0], (4, 2));
         assert_eq!(counts[0], counts[1]);
+    }
+
+    #[test]
+    fn one_cell_grid_produces_a_stable_trimmed_mean() {
+        let (kernel, cells) = small_cells(1);
+        let t = measure_complete(&ExecCtx::bare(1), "stable", &kernel, &cells, 4)
+            .expect("no fault plan, so complete")
+            .remove(0);
+        assert_eq!(t.runs.len(), 4);
+        assert!(t.mean > 0.0);
+        let spread = (t.runs.iter().cloned().fold(f64::MIN, f64::max)
+            - t.runs.iter().cloned().fold(f64::MAX, f64::min))
+            / t.mean;
+        assert!(
+            spread < 0.5,
+            "run-to-run spread suspiciously large: {spread}"
+        );
+    }
+
+    #[test]
+    fn grid_simulates_no_discarded_run() {
+        let (k, r) = (3, 3);
+        let (kernel, cells) = alternating_cells(k);
+        let obs = slopt_obs::Obs::aggregating();
+        let ctx = ExecCtx::bare(2).with_obs(obs.clone());
+        let out = complete(measure_cells(&ctx, "nowarm", &kernel, &cells, r).expect("no I/O"));
+        // One simulated or reused run per measured (cell, seed) item, and
+        // each is the direct run of a measured seed: seed 1 never runs.
+        let items = (k * r) as u64;
+        assert_eq!(obs.summary().spans["measure_cell"].count, items);
+        let (runs, hits) = memo_counts(&obs);
+        assert_eq!(runs + hits, items);
+        for (t, cell) in out.iter().zip(&cells) {
+            assert_eq!(run_bits(t), direct_runs(&kernel, cell, r));
+        }
     }
 }

@@ -9,9 +9,9 @@
 //!    **constrained** layout (§5.2 important-edge subgraph applied to the
 //!    baseline).
 //! 2. Each layout replaces that one struct's baseline layout
-//!    ([`figure_tables`]) and the SDET-like workload is measured (warm-up +
-//!    n runs, trimmed mean) on a target machine by `slopt-bench`'s grid
-//!    runner; results are reported as % throughput difference versus the
+//!    ([`figure_tables`]) and the SDET-like workload is measured (n runs,
+//!    trimmed mean) on a target machine by `slopt-bench`'s grid runner;
+//!    results are reported as % throughput difference versus the
 //!    all-baseline configuration ([`figure_from_throughputs`]).
 //!
 //! Figure 8 = {Tool, SortByHotness} on the 128-way machine; Figure 9 = the

@@ -10,7 +10,7 @@
 //!   counters; B–E: varying affinity/contention mixes).
 //! * [`kernel`] — syscall-like IR functions over those structures, exposed
 //!   as a weighted [`kernel::Action`] mix.
-//! * [`sdet`] — the throughput driver: scripts per CPU, warm-up + n runs,
+//! * [`sdet`] — the throughput driver: scripts per CPU, n runs with an
 //!   outlier-trimmed mean, on configurable machines
 //!   ([`sdet::Machine::superdome`], [`sdet::Machine::bus`]).
 //! * [`mod@analyze`] — the instrumented measurement run (PBO profile + PMU
@@ -48,9 +48,8 @@ pub use experiments::{
 };
 pub use kernel::{build_kernel, Action, CustomWorkload, Kernel, SlotKind, WorkloadSpec};
 pub use sdet::{
-    baseline_layouts, build_scripts, layouts_with, measure, measurement_seeds, run_once,
-    run_once_logged, run_once_obs, Instances, Machine, SdetConfig, SdetRun, Throughput,
-    MODEL_VERSION,
+    baseline_layouts, build_scripts, layouts_with, measurement_seeds, run_once, run_once_logged,
+    run_once_obs, Instances, Machine, SdetConfig, SdetRun, Throughput, MODEL_VERSION,
 };
 pub use search::{search_for, search_for_obs, StructSearch};
 pub use spec::{parse_workload_file, SpecError};

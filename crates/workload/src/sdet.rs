@@ -6,9 +6,9 @@
 //! kernel's action table; every CPU runs a queue of scripts and the
 //! metric is scripts per million simulated cycles.
 //!
-//! Methodology matches the paper: a warm-up run, then `n` measured runs
-//! (different interleaving seeds), outliers removed (min and max), mean of
-//! the rest.
+//! Methodology follows the paper: `n` measured runs (different interleaving
+//! seeds), outliers removed (min and max), mean of the rest. There is no
+//! warm-up run: each simulated run builds a cold machine from its seed.
 
 use crate::kernel::{Action, SlotKind, WorkloadSpec};
 use rand::rngs::SmallRng;
@@ -347,8 +347,8 @@ pub fn run_once_logged(
     )
 }
 
-/// A throughput measurement: warm-up + `n` runs, min/max dropped, mean of
-/// the rest (the paper's methodology).
+/// A throughput measurement: `n` runs, min/max dropped, mean of the rest
+/// (the paper's methodology, without its warm-up run).
 #[derive(Clone, Debug)]
 pub struct Throughput {
     /// Trimmed mean of scripts per million cycles.
@@ -373,50 +373,12 @@ impl Throughput {
     }
 }
 
-/// The seeds of one throughput measurement: seed 1 is the warm-up (seed 0
-/// stays reserved), measured run `i` uses seed `2 + i`. Centralizing this
-/// is what lets the serial and parallel paths draw identical streams.
+/// The seeds of one throughput measurement: measured run `i` uses seed
+/// `2 + i`, the list's `[1..]`. Seed 1 is a warm-up that only the
+/// benchmark's traced pass still runs; seed 0 stays reserved. Centralizing
+/// this is what lets every path draw identical streams.
 pub fn measurement_seeds(runs: usize) -> Vec<u64> {
     (0..=runs).map(|i| 1 + i as u64).collect()
-}
-
-/// Measures throughput over `runs` measured runs (plus one warm-up run
-/// that is discarded), fanned out over up to `jobs` host threads.
-///
-/// Every run is an independent simulation: it allocates its own
-/// [`Instances`], builds its own scripts and owns its own
-/// [`MemSystem`] and per-CPU `SmallRng`s, all derived from the explicit
-/// run seed. Results are collected by run index, so the returned
-/// [`Throughput`] — `runs` vector included — is bit-identical for every
-/// `jobs` value.
-///
-/// # Panics
-///
-/// Panics if `runs == 0`.
-pub fn measure(
-    kernel: &(impl WorkloadSpec + Sync),
-    layouts: &LayoutTable,
-    machine: &Machine,
-    cfg: &SdetConfig,
-    runs: usize,
-    jobs: usize,
-) -> Throughput {
-    assert!(runs > 0, "need at least one measured run");
-    let seeds = measurement_seeds(runs);
-    let mut values = slopt_core::par_map(jobs, &seeds, |_, &seed| {
-        run_once(
-            kernel,
-            layouts,
-            machine,
-            cfg,
-            seed,
-            &mut slopt_sim::NullObserver,
-        )
-        .result
-        .throughput()
-    });
-    values.remove(0); // discard the warm-up run
-    Throughput::from_runs(values)
 }
 
 /// Mean with min and max removed (when more than two values).
@@ -569,24 +531,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn measure_produces_stable_trimmed_mean() {
-        let k = build_kernel();
-        let cfg = small_cfg();
-        let layouts = baseline_layouts(&k, cfg.line_size);
-        let machine = Machine::bus(2);
-        let t = measure(&k, &layouts, &machine, &cfg, 4, 1);
-        assert_eq!(t.runs.len(), 4);
-        assert!(t.mean > 0.0);
-        let spread = (t.runs.iter().cloned().fold(f64::MIN, f64::max)
-            - t.runs.iter().cloned().fold(f64::MAX, f64::min))
-            / t.mean;
-        assert!(
-            spread < 0.5,
-            "run-to-run spread suspiciously large: {spread}"
-        );
     }
 
     #[test]

@@ -7,9 +7,10 @@
 use slopt::core::LayoutOptions;
 use slopt::sim::CacheConfig;
 use slopt::workload::{
-    analyze, baseline_layouts, build_kernel, layouts_with, measure, suggest_for, AnalysisConfig,
-    Machine, SdetConfig,
+    analyze, baseline_layouts, build_kernel, layouts_with, suggest_for, AnalysisConfig, Machine,
+    SdetConfig,
 };
+use slopt_bench::{measure_complete, Cell, ExecCtx};
 
 pub fn main() {
     // Keep the example quick: a smaller workload than the fig8 harness.
@@ -56,23 +57,30 @@ pub fn main() {
     // strongest positive/negative edges.
     println!("{}", suggestion.report);
 
-    // Measure baseline vs suggested layout (transforming only struct A).
+    // Measure baseline vs suggested layout (transforming only struct A)
+    // as one two-cell grid.
     let machine = Machine::superdome(32);
-    let base = measure(
-        &kernel,
-        &baseline_layouts(&kernel, sdet.line_size),
-        &machine,
-        &sdet,
-        3,
-        1,
-    );
-    let table = layouts_with(&kernel, sdet.line_size, a, suggestion.layout.clone());
-    let tuned = measure(&kernel, &table, &machine, &sdet, 3, 1);
+    let cells = [
+        ("baseline", baseline_layouts(&kernel, sdet.line_size)),
+        (
+            "suggested",
+            layouts_with(&kernel, sdet.line_size, a, suggestion.layout.clone()),
+        ),
+    ]
+    .map(|(label, table)| Cell {
+        label: label.to_string(),
+        table,
+        sdet: sdet.clone(),
+        machine: machine.clone(),
+    });
+    let t = measure_complete(&ExecCtx::bare(1), "kernel_tuning", &kernel, &cells, 3)
+        .expect("no fault plan, so complete");
+    let (base, tuned) = (&t[0], &t[1]);
     println!(
         "throughput on {}: baseline {:.1}, suggested {:.1} ({:+.2}%)",
         machine.topo.name(),
         base.mean,
         tuned.mean,
-        tuned.pct_vs(&base)
+        tuned.pct_vs(base)
     );
 }

@@ -59,9 +59,9 @@
 //!
 //! Every expensive driver fans out across host threads through one
 //! primitive, [`core::par_map`] — batch layout suggestion
-//! ([`core::suggest_layout_all`]), repeated throughput measurement
-//! ([`workload::measure`]) and whole figure grids (`slopt-bench`'s
-//! runner) all take a `jobs` argument, and every one of them returns
+//! ([`core::suggest_layout_all`]) and throughput measurement, from one
+//! cell to whole figure grids (`slopt-bench`'s runner), both take a
+//! `jobs` argument, and both return
 //! **bit-identical results for every `jobs` value** (see `DESIGN.md`,
 //! "Parallel execution model").
 //!

@@ -243,8 +243,8 @@ fn resume_drifted(
         assert_eq!(a.results, b.results);
     }
     assert_eq!(resumed.to_string(), clean.to_string());
-    // Two measured runs plus the warm-up per cell.
-    let (s, kept) = (obs.summary().metrics, unchanged as u64 * 3);
+    // Two measured runs per cell.
+    let (s, kept) = (obs.summary().metrics, unchanged as u64 * 2);
     assert_eq!(s.counter("ckpt.items_resumed"), kept);
     let measured = s.counter("sim.memo_runs") + s.counter("sim.memo_hits");
     assert_eq!(

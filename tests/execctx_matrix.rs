@@ -220,11 +220,11 @@ fn truncate_log(path: &Path) -> Vec<u64> {
 /// kept — that item is scheduled again and its grid-indexed fault fires
 /// again.
 fn expected_after_resume(poisoned: &[usize], reference: &Bits, kept: &[u64]) -> Bits {
-    let seeds = measurement_seeds(RUNS);
+    let seeds = &measurement_seeds(RUNS)[1..];
     (0..reference.len())
         .map(|c| {
-            let lost = (1..seeds.len())
-                .any(|k| poisoned.contains(&(c * seeds.len() + k)) && !kept.contains(&seeds[k]));
+            let lost =
+                (0..RUNS).any(|k| poisoned.contains(&(c * RUNS + k)) && !kept.contains(&seeds[k]));
             reference[c].clone().filter(|_| !lost)
         })
         .collect()

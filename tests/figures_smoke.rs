@@ -3,9 +3,8 @@
 
 use slopt::sim::CacheConfig;
 use slopt::workload::{
-    baseline_layouts, best_rows, build_kernel, compute_paper_layouts_jobs, layouts_with, measure,
-    run_once, AnalysisConfig, Figure, Kernel, LayoutKind, Machine, PaperLayouts, SdetConfig,
-    STAT_CLASSES,
+    baseline_layouts, best_rows, build_kernel, compute_paper_layouts_jobs, layouts_with, run_once,
+    AnalysisConfig, Figure, Kernel, LayoutKind, Machine, PaperLayouts, SdetConfig, STAT_CLASSES,
 };
 
 /// One figure grid (2 measured runs per cell) from the shared runner.
@@ -225,9 +224,20 @@ fn fig9_no_blowups_on_small_machine() {
 fn measurement_is_reproducible() {
     let kernel = build_kernel();
     let sdet = small_sdet();
-    let machine = Machine::superdome(8);
-    let table = baseline_layouts(&kernel, sdet.line_size);
-    let a = measure(&kernel, &table, &machine, &sdet, 3, 1);
-    let b = measure(&kernel, &table, &machine, &sdet, 3, 1);
-    assert_eq!(a.runs, b.runs, "same seeds must give identical run values");
+    let cells = [slopt_bench::Cell {
+        label: "baseline".to_string(),
+        table: baseline_layouts(&kernel, sdet.line_size),
+        sdet,
+        machine: Machine::superdome(8),
+    }];
+    // A fresh context each time, so no run memo answers the second.
+    let measure = || {
+        slopt_bench::measure_complete(&slopt_bench::ExecCtx::bare(1), "t", &kernel, &cells, 3)
+            .expect("no fault plan, so complete")
+    };
+    let (a, b) = (measure(), measure());
+    assert_eq!(
+        a[0].runs, b[0].runs,
+        "same seeds must give identical run values"
+    );
 }

@@ -10,8 +10,8 @@ use slopt::core::{suggest_layout_all, LayoutRequest, ToolParams};
 use slopt::sample::{concurrency_map, write_shard, ConcurrencyConfig, Sample, WindowedConcurrency};
 use slopt::sim::CacheConfig;
 use slopt::workload::{
-    analyze, baseline_layouts, compute_paper_layouts_jobs, measure, parse_workload_file,
-    AnalysisConfig, Figure, Kernel, LayoutKind, Machine, PaperLayouts, SdetConfig, WorkloadSpec,
+    analyze, baseline_layouts, compute_paper_layouts_jobs, parse_workload_file, AnalysisConfig,
+    Figure, Kernel, LayoutKind, Machine, PaperLayouts, SdetConfig, WorkloadSpec,
 };
 
 fn load_session_example() -> slopt::workload::CustomWorkload {
@@ -106,11 +106,20 @@ fn session_example_suggestions_are_job_count_invariant() {
 fn session_example_throughput_is_job_count_invariant() {
     let w = load_session_example();
     let sdet = small_sdet();
-    let machine = Machine::superdome(4);
-    let layouts = baseline_layouts(&w, sdet.line_size);
-    let serial = measure(&w, &layouts, &machine, &sdet, 4, 1);
+    let cells = [slopt_bench::Cell {
+        label: "baseline".to_string(),
+        table: baseline_layouts(&w, sdet.line_size),
+        sdet,
+        machine: Machine::superdome(4),
+    }];
+    let measure = |jobs| {
+        slopt_bench::measure_complete(&slopt_bench::ExecCtx::bare(jobs), "t", &w, &cells, 4)
+            .expect("no fault plan, so complete")
+            .remove(0)
+    };
+    let serial = measure(1);
     for jobs in [2, 4, 16] {
-        let parallel = measure(&w, &layouts, &machine, &sdet, 4, jobs);
+        let parallel = measure(jobs);
         // Bit-identical, not approximately equal: same seeds, same runs,
         // same order.
         assert_eq!(serial.runs, parallel.runs, "jobs={jobs}");
