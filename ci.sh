@@ -18,26 +18,22 @@ echo "== cargo doc (deny rustdoc warnings: no broken or private intra-doc links)
 # `vec` link is ambiguous upstream, and neither is this project's code.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace --exclude proptest --exclude rand
 
-# The root directory is both the workspace and a package, so a bare
-# `cargo build`/`cargo test` would cover the root package only —
-# --workspace everywhere below, or the experiment bins never rebuild.
+# The root directory is both the workspace and a package; its
+# default-members already cover the root package and every slopt crate,
+# and --workspace below adds the vendored stand-ins.
 echo "== cargo build --release (whole workspace) =="
 cargo build --release --offline --workspace
 
+# The workspace runs include every contract suite: the kill/resume
+# contract (checkpoint_resume), the chaos suite (seed-pinned fault plans,
+# differential vs clean runs), the execctx capability matrix (24 lattice
+# points) and the help-surface conformance suites of slopt-bench
+# (help_matrix, args_prop, ablate_cli, fig_search_cli).
 echo "== cargo test (whole workspace) =="
 cargo test --offline -q --workspace
 
 echo "== cargo test (--test-threads=2, shakes out ordering assumptions) =="
 cargo test --offline -q --workspace -- --test-threads=2
-
-echo "== kill/resume contract (checkpoint_resume, explicitly) =="
-cargo test --offline -q --test checkpoint_resume
-
-echo "== chaos suite (seed-pinned fault plans, differential vs clean runs) =="
-cargo test --offline -q --test chaos_suite
-
-echo "== execctx capability matrix (24 lattice points, explicitly) =="
-cargo test --offline -q --test execctx_matrix
 
 echo "== composed-capabilities smoke (fig9: jobs 4 + trace + checkpoint + transient faults) =="
 # Every capability at once must compose: the run exits 0 (transient
@@ -59,10 +55,6 @@ SMOKE_DIFF="$(./target/release/slopt-tool diff "$SMOKE_TRACE_J1" "$SMOKE_TRACE_J
 echo "$SMOKE_DIFF" | grep -q "result: 0 structural delta(s), 0 timing breach(es)" \
     || { echo "composed smoke: serial vs fanned trace diverged:"; echo "$SMOKE_DIFF"; exit 1; }
 rm -rf "$SMOKE_CKPT_J4" "$SMOKE_CKPT_J1" "$SMOKE_TRACE_J4" "$SMOKE_TRACE_J1"
-
-echo "== help-surface conformance (every bin, one flag reference) =="
-cargo test --offline -q -p slopt-bench --test help_matrix --test args_prop --test ablate_cli \
-    --test fig_search_cli
 
 echo "== degraded-run contract (fig9, the ablate rows and layout search under a permanent fault plan exit 4) =="
 set +e

@@ -6,8 +6,9 @@
 //! anything else) did not slow the hot paths down.
 //!
 //! **Regression gate.** One-sided — faster is always fine — allowing
-//! `baseline * (1 + tolerance) + floor` seconds, where the absolute
-//! `floor` absorbs scheduler noise on the sub-100 ms `--quick` numbers.
+//! `baseline * (1 + TOLERANCE) + FLOOR_S` seconds (10 % plus 0.05 s),
+//! where the absolute floor absorbs scheduler noise on the sub-100 ms
+//! `--quick` numbers.
 //! When both reports carry `dense_trimmed_mean_s` (schema /3) the gate
 //! compares trimmed means — per-rep and outlier-robust, so it survives a
 //! rep-count change between baseline and fresh; older reports fall back
@@ -34,27 +35,31 @@
 //!   any adequately sized CI host).
 //!
 //! Both flags repeat. A bench named in a floor but absent from the fresh
-//! report is an error.
+//! report is an error. An unknown flag, or a flag without its value, is
+//! a usage error (exit 2): a misspelt floor must not pass silently.
 //!
 //! Usage:
-//! `perf_guard <fresh.json> --baseline <old.json> [--tolerance 0.10]
-//!  [--floor-s 0.05] [--require-speedup cc:50]...
-//!  [--require-parallel cc:3.0]...`
+//! `perf_guard <fresh.json> --baseline <old.json>
+//!  [--require-speedup cc:50]... [--require-parallel cc:3.0]...`
 
-use slopt_bench::extra_flag;
+use slopt_bench::{extra_flag, usage_exit, CommonArgs};
 use slopt_obs::json::{parse, Json};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// The flags that take a value (everything else non-dash is the fresh
-/// report path).
-const VALUE_FLAGS: [&str; 5] = [
-    "--baseline",
-    "--tolerance",
-    "--floor-s",
-    "--require-speedup",
-    "--require-parallel",
+/// The registered flags, all of which take a value; the first bare
+/// token is the fresh report path.
+const EXTRAS: &[(&str, bool)] = &[
+    ("--baseline", true),
+    ("--require-speedup", true),
+    ("--require-parallel", true),
 ];
+
+/// Allowed relative growth over the baseline time.
+const TOLERANCE: f64 = 0.10;
+
+/// Allowed absolute growth over the baseline time, in seconds.
+const FLOOR_S: f64 = 0.05;
 
 /// All values of a repeatable `--flag name:min` argument.
 fn floors(args: &[String], name: &str) -> Result<Vec<(String, f64)>, String> {
@@ -144,23 +149,11 @@ fn read_report(path: &str) -> Result<Report, String> {
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     const USAGE: &str = "usage: perf_guard <fresh.json> --baseline <old.json>";
-    let fresh_path = args
-        .iter()
-        .enumerate()
-        .find(|&(i, a)| {
-            !a.starts_with("--") && (i == 0 || !VALUE_FLAGS.contains(&args[i - 1].as_str()))
-        })
-        .map(|(_, a)| a.clone())
-        .ok_or(USAGE)?;
-    let flag = |name: &str| extra_flag::<String>(&args, name).map_err(|e| e.to_string());
-    let baseline_path = flag("--baseline")?.ok_or(USAGE)?;
-    let number = |name: &str, default: f64| -> Result<f64, String> {
-        Ok(extra_flag(&args, name)
-            .map_err(|e| e.to_string())?
-            .unwrap_or(default))
-    };
-    let tolerance = number("--tolerance", 0.10)?;
-    let floor_s = number("--floor-s", 0.05)?;
+    let (positional, baseline_path) = CommonArgs::parse_positional(&args, EXTRAS)
+        .and_then(|(_, positional)| Ok((positional, extra_flag::<String>(&args, "--baseline")?)))
+        .unwrap_or_else(|e| usage_exit("perf_guard", &e));
+    let fresh_path = positional.into_iter().next().ok_or(USAGE)?;
+    let baseline_path = baseline_path.ok_or(USAGE)?;
     let require_speedup = floors(&args, "--require-speedup")?;
     let require_parallel = floors(&args, "--require-parallel")?;
 
@@ -180,7 +173,7 @@ fn run() -> Result<(), String> {
             (Some(&b), Some(&n)) => (b, n, "trimmed mean"),
             _ => (base_total, fresh.totals[name], "total"),
         };
-        let allowed = base * (1.0 + tolerance) + floor_s;
+        let allowed = base * (1.0 + TOLERANCE) + FLOOR_S;
         let verdict = if now <= allowed { "ok" } else { "REGRESSED" };
         eprintln!(
             "[perf_guard] {name:<12} baseline {base:.4}s now {now:.4}s \

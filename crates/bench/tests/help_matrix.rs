@@ -185,6 +185,33 @@ fn malformed_extra_values_exit_2_with_positional_messages() {
     );
 }
 
+/// `perf_guard` parses its flags as strictly as every other bin: a
+/// misspelt floor, a removed flag or a floor without its value is a
+/// usage error (exit 2), never a silently passing gate.
+#[test]
+fn perf_guard_rejects_unknown_and_valueless_flags() {
+    let report = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
+    let guard = env!("CARGO_BIN_EXE_perf_guard");
+    for extra in [
+        &["--require-speedp", "cc:1000"][..],
+        &["--floor-s", "0.05"][..],
+        &["--require-speedup"][..],
+    ] {
+        let mut args = vec![report, "--baseline", report];
+        args.extend_from_slice(extra);
+        let out = run(guard, &args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "perf_guard {extra:?}: {err}");
+        assert!(err.contains("arg 4: "), "perf_guard {extra:?}: {err}");
+    }
+    // The correctly spelled floor is read and fails the gate.
+    let out = run(
+        guard,
+        &[report, "--baseline", report, "--require-speedup", "cc:1000"],
+    );
+    assert_eq!(out.status.code(), Some(1));
+}
+
 /// A trace that could not be written is exit 1 (the table's "trace
 /// sink" failure), and the run never claims it was written.
 #[test]

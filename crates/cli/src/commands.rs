@@ -10,7 +10,7 @@ use slopt_bench::{
     measure_paper_figure, paper_figures, search_row, select_records, ArgError, Cell, CommonArgs,
     ExecCtx, GridError, SearchRowCfg, EXIT_CODE_TABLE,
 };
-use slopt_core::{to_dot, DotOptions, ToolParams};
+use slopt_core::{to_dot, ToolParams};
 use slopt_fault::exit;
 use slopt_ir::types::RecordId;
 use slopt_search::{Portfolio, SearchParams};
@@ -295,12 +295,7 @@ fn advise_on<W: WorkloadSpec>(
         let layout_path = dir.join(format!("{}.layout.txt", ty.name()));
         write(&layout_path, &advisory)?;
         let dot_path = dir.join(format!("{}.flg.dot", ty.name()));
-        let dot = to_dot(
-            ty,
-            &suggestion.flg,
-            Some(&suggestion.clustering),
-            DotOptions::default(),
-        );
+        let dot = to_dot(ty, &suggestion.flg, Some(&suggestion.clustering));
         write(&dot_path, &dot)?;
         println!(
             "wrote {} and {} (render with `dot -Tsvg`)",

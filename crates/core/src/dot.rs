@@ -11,32 +11,9 @@ use crate::flg::Flg;
 use slopt_ir::types::{FieldIdx, RecordType};
 use std::fmt::Write as _;
 
-/// Options for DOT rendering.
-#[derive(Copy, Clone, Debug)]
-pub struct DotOptions {
-    /// Omit edges with `|w| <` this value (absolute weight), keeping the
-    /// graph legible for 100+-field records.
-    pub min_edge_weight: f64,
-    /// Omit fields that are cold (hotness 0) *and* have no kept edges.
-    pub hide_isolated: bool,
-}
-
-impl Default for DotOptions {
-    fn default() -> Self {
-        DotOptions {
-            min_edge_weight: 0.0,
-            hide_isolated: true,
-        }
-    }
-}
-
 /// Renders the FLG (and optionally its clustering) as a DOT digraph.
-pub fn to_dot(
-    record: &RecordType,
-    flg: &Flg,
-    clustering: Option<&Clustering>,
-    opts: DotOptions,
-) -> String {
+/// Fields that are cold (hotness 0) and have no edge are omitted.
+pub fn to_dot(record: &RecordType, flg: &Flg, clustering: Option<&Clustering>) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "graph flg_{} {{", record.name());
     let _ = writeln!(out, "  graph [overlap=false, splines=true];");
@@ -45,13 +22,9 @@ pub fn to_dot(
         "  node [shape=ellipse, style=filled, fillcolor=white];"
     );
 
-    let kept_edges: Vec<(FieldIdx, FieldIdx, f64)> = flg
-        .edges()
-        .into_iter()
-        .filter(|e| e.2.abs() >= opts.min_edge_weight)
-        .collect();
+    let edges = flg.edges();
     let mut visible = vec![false; record.field_count()];
-    for &(a, b, _) in &kept_edges {
+    for &(a, b, _) in &edges {
         visible[a.index()] = true;
         visible[b.index()] = true;
     }
@@ -88,7 +61,7 @@ pub fn to_dot(
                 let members: Vec<FieldIdx> = cluster
                     .iter()
                     .copied()
-                    .filter(|f| !opts.hide_isolated || visible[f.index()])
+                    .filter(|f| visible[f.index()])
                     .collect();
                 if members.is_empty() {
                     continue;
@@ -103,17 +76,14 @@ pub fn to_dot(
         }
         None => {
             for f in record.field_indices() {
-                if !opts.hide_isolated || visible[f.index()] {
+                if visible[f.index()] {
                     node(&mut out, f);
                 }
             }
         }
     }
 
-    for (a, b, w) in kept_edges {
-        if opts.hide_isolated && (!visible[a.index()] || !visible[b.index()]) {
-            continue;
-        }
+    for (a, b, w) in edges {
         let (color, style) = if w >= 0.0 {
             ("forestgreen", "solid")
         } else {
@@ -156,58 +126,56 @@ mod tests {
         (rec, flg)
     }
 
+    /// The whole rendering, byte for byte: hot fields shaded, positive
+    /// edges green, negative edges red.
     #[test]
     fn dot_contains_nodes_edges_and_colors() {
         let (rec, flg) = setup();
-        let dot = to_dot(&rec, &flg, None, DotOptions::default());
-        assert!(dot.starts_with("graph flg_S {"));
-        assert!(dot.contains("hot"));
-        assert!(dot.contains("counter"));
-        assert!(dot.contains("forestgreen"), "positive edge must be green");
-        assert!(dot.contains("crimson"), "negative edge must be red");
-        assert!(dot.contains("+30") && dot.contains("-80"));
-        assert!(dot.trim_end().ends_with('}'));
+        assert_eq!(
+            to_dot(&rec, &flg, None),
+            "graph flg_S {
+  graph [overlap=false, splines=true];
+  node [shape=ellipse, style=filled, fillcolor=white];
+    f0 [label=\"hot\\nh=100\", fillcolor=\"/ylorrd9/9\"];
+    f1 [label=\"warm\\nh=50\", fillcolor=\"/ylorrd9/5\"];
+    f2 [label=\"counter\\nh=40\", fillcolor=\"/ylorrd9/4\"];
+  f0 -- f1 [label=\"+30\", color=forestgreen, style=solid];
+  f0 -- f2 [label=\"-80\", color=crimson, style=bold];
+}
+"
+        );
     }
 
     #[test]
     fn isolated_cold_fields_are_hidden_by_default() {
         let (rec, flg) = setup();
-        let dot = to_dot(&rec, &flg, None, DotOptions::default());
+        let dot = to_dot(&rec, &flg, None);
         assert!(!dot.contains("dead"));
-        let dot_all = to_dot(
-            &rec,
-            &flg,
-            None,
-            DotOptions {
-                hide_isolated: false,
-                ..Default::default()
-            },
-        );
-        assert!(dot_all.contains("dead"));
     }
 
+    /// The whole rendering, byte for byte, with the clustering's boxes.
     #[test]
     fn clustering_renders_subgraph_boxes() {
         let (rec, flg) = setup();
         let c = cluster(&flg, &rec, 128, &slopt_obs::Obs::disabled());
-        let dot = to_dot(&rec, &flg, Some(&c), DotOptions::default());
-        assert!(dot.contains("subgraph cluster_0"));
-        assert!(dot.contains("line cluster"));
-    }
-
-    #[test]
-    fn weight_filter_drops_small_edges() {
-        let (rec, flg) = setup();
-        let dot = to_dot(
-            &rec,
-            &flg,
-            None,
-            DotOptions {
-                min_edge_weight: 50.0,
-                ..Default::default()
-            },
+        assert_eq!(
+            to_dot(&rec, &flg, Some(&c)),
+            "graph flg_S {
+  graph [overlap=false, splines=true];
+  node [shape=ellipse, style=filled, fillcolor=white];
+  subgraph cluster_0 {
+    label=\"line cluster 0\";
+    f0 [label=\"hot\\nh=100\", fillcolor=\"/ylorrd9/9\"];
+    f1 [label=\"warm\\nh=50\", fillcolor=\"/ylorrd9/5\"];
+  }
+  subgraph cluster_1 {
+    label=\"line cluster 1\";
+    f2 [label=\"counter\\nh=40\", fillcolor=\"/ylorrd9/4\"];
+  }
+  f0 -- f1 [label=\"+30\", color=forestgreen, style=solid];
+  f0 -- f2 [label=\"-80\", color=crimson, style=bold];
+}
+"
         );
-        assert!(!dot.contains("+30"));
-        assert!(dot.contains("-80"));
     }
 }

@@ -74,7 +74,7 @@ pub mod subgraph;
 
 pub use cluster::{cluster, Clustering};
 pub use delta::{canonical_cluster_sum, clustering_score, DeltaObjective, Move};
-pub use dot::{to_dot, DotOptions};
+pub use dot::to_dot;
 pub use flg::{reference::FlgRef, Flg, FlgParams, FlgView};
 pub use gvl::{layout_globals, GvlProblem};
 pub use heuristics::{random_layout, sort_by_hotness};

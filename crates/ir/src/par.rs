@@ -201,11 +201,11 @@ impl fmt::Display for ItemFailure {
 
 /// Retry/deadline policy of [`par_map_supervised`].
 ///
-/// The backoff schedule is *deterministic*: attempt `n` sleeps
-/// `backoff_base << n`, capped at `backoff_cap` — a pure function of
-/// the attempt number, so two runs of the same plan wait the same
-/// schedule. Backoff bounds wall-clock cost; it cannot affect results,
-/// which are assembled by item index.
+/// The backoff schedule is *deterministic*: retry `n` sleeps
+/// `BACKOFF_BASE << n`, capped at `BACKOFF_CAP` (1 ms doubling, 50 ms
+/// cap) — a pure function of the attempt number, so two runs of the
+/// same plan wait the same schedule. Backoff bounds wall-clock cost; it
+/// cannot affect results, which are assembled by item index.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SupervisePolicy {
     /// Retries after the initial attempt (so `max_retries + 1` attempts
@@ -217,10 +217,6 @@ pub struct SupervisePolicy {
     /// disables the check. Cooperative — a stalled attempt is detected
     /// when it returns, not preempted mid-flight.
     pub deadline: Option<Duration>,
-    /// First retry's backoff. Default 1 ms.
-    pub backoff_base: Duration,
-    /// Backoff ceiling. Default 50 ms.
-    pub backoff_cap: Duration,
 }
 
 impl Default for SupervisePolicy {
@@ -228,20 +224,22 @@ impl Default for SupervisePolicy {
         SupervisePolicy {
             max_retries: 3,
             deadline: None,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(50),
         }
     }
 }
 
-impl SupervisePolicy {
-    /// The deterministic backoff before retry `attempt` (0-based over
-    /// retries): `base << attempt`, capped.
-    pub fn backoff_for(&self, attempt: u32) -> Duration {
-        self.backoff_base
-            .saturating_mul(1u32 << attempt.min(16))
-            .min(self.backoff_cap)
-    }
+/// First retry's backoff.
+const BACKOFF_BASE: Duration = Duration::from_millis(1);
+
+/// Backoff ceiling.
+const BACKOFF_CAP: Duration = Duration::from_millis(50);
+
+/// The deterministic backoff before retry `attempt` (0-based over
+/// retries): `BACKOFF_BASE << attempt`, capped at `BACKOFF_CAP`.
+fn backoff(attempt: u32) -> Duration {
+    BACKOFF_BASE
+        .saturating_mul(1u32 << attempt.min(16))
+        .min(BACKOFF_CAP)
 }
 
 /// The structured outcome of a supervised run: totals, retry activity,
@@ -391,7 +389,7 @@ where
             });
             return (None, stats);
         }
-        std::thread::sleep(policy.backoff_for(attempt));
+        std::thread::sleep(backoff(attempt));
         stats.retries += 1;
         attempt += 1;
     }
@@ -405,7 +403,7 @@ where
 ///   treated as retryable (the global panic hook still runs, so
 ///   contained panics remain visible on stderr).
 /// * **Transient errors retry** up to `policy.max_retries` times with
-///   the policy's bounded deterministic backoff.
+///   a bounded deterministic backoff.
 /// * **Permanent errors quarantine** the item immediately.
 /// * **Deadline overruns quarantine** the item at the attempt boundary.
 ///
@@ -593,20 +591,13 @@ mod tests {
         assert!(default_jobs() >= 1);
     }
 
-    fn fast_policy() -> SupervisePolicy {
-        SupervisePolicy {
-            backoff_base: Duration::from_micros(10),
-            backoff_cap: Duration::from_micros(100),
-            ..SupervisePolicy::default()
-        }
-    }
-
     #[test]
     fn supervised_zero_items_is_a_clean_empty_run() {
         let empty: Vec<u32> = vec![];
-        let (values, report) = par_map_supervised(8, &empty, &fast_policy(), |_, &x, _| {
-            Ok::<u32, WorkerError>(x)
-        });
+        let (values, report) =
+            par_map_supervised(8, &empty, &SupervisePolicy::default(), |_, &x, _| {
+                Ok::<u32, WorkerError>(x)
+            });
         assert!(values.is_empty());
         assert_eq!(report.items, 0);
         assert_eq!(report.completed, 0);
@@ -619,9 +610,10 @@ mod tests {
         let items: Vec<u64> = (0..97).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x * 3).collect();
         for jobs in [1, 2, 8] {
-            let (values, report) = par_map_supervised(jobs, &items, &fast_policy(), |_, &x, _| {
-                Ok::<u64, WorkerError>(x * 3)
-            });
+            let (values, report) =
+                par_map_supervised(jobs, &items, &SupervisePolicy::default(), |_, &x, _| {
+                    Ok::<u64, WorkerError>(x * 3)
+                });
             let values: Vec<u64> = values.into_iter().map(|v| v.unwrap()).collect();
             assert_eq!(values, serial, "jobs={jobs}");
             assert!(!report.had_faults());
@@ -633,9 +625,10 @@ mod tests {
     fn supervised_all_items_poisoned_still_returns() {
         let items: Vec<u32> = (0..13).collect();
         for jobs in [1, 4] {
-            let (values, report) = par_map_supervised(jobs, &items, &fast_policy(), |i, _, _| {
-                Err::<u32, _>(WorkerError::permanent(format!("item {i} is cursed")))
-            });
+            let (values, report) =
+                par_map_supervised(jobs, &items, &SupervisePolicy::default(), |i, _, _| {
+                    Err::<u32, _>(WorkerError::permanent(format!("item {i} is cursed")))
+                });
             assert!(values.iter().all(Option::is_none), "jobs={jobs}");
             assert_eq!(report.poisoned.len(), 13);
             assert!(report.degraded());
@@ -656,13 +649,18 @@ mod tests {
         // a pure function of (index, attempt), like a seeded fault plan.
         let items: Vec<u64> = (0..41).collect();
         let run = |jobs| {
-            par_map_supervised(jobs, &items, &fast_policy(), |i, &x, attempt| {
-                if (attempt as usize) < i % 4 {
-                    Err(WorkerError::transient(format!("flake {i}/{attempt}")))
-                } else {
-                    Ok(x * x)
-                }
-            })
+            par_map_supervised(
+                jobs,
+                &items,
+                &SupervisePolicy::default(),
+                |i, &x, attempt| {
+                    if (attempt as usize) < i % 4 {
+                        Err(WorkerError::transient(format!("flake {i}/{attempt}")))
+                    } else {
+                        Ok(x * x)
+                    }
+                },
+            )
         };
         let (base_values, base_report) = run(1);
         let expect: Vec<u64> = items.iter().map(|&x| x * x).collect();
@@ -689,12 +687,13 @@ mod tests {
     #[test]
     fn supervised_contains_and_retries_panics() {
         let items: Vec<u32> = (0..10).collect();
-        let (values, report) = par_map_supervised(4, &items, &fast_policy(), |i, &x, attempt| {
-            if i % 2 == 0 && attempt == 0 {
-                panic!("injected panic at item {i}");
-            }
-            Ok::<u32, WorkerError>(x + 1)
-        });
+        let (values, report) =
+            par_map_supervised(4, &items, &SupervisePolicy::default(), |i, &x, attempt| {
+                if i % 2 == 0 && attempt == 0 {
+                    panic!("injected panic at item {i}");
+                }
+                Ok::<u32, WorkerError>(x + 1)
+            });
         assert!(values.iter().all(Option::is_some), "every panic recovered");
         assert_eq!(report.panics_contained, 5);
         assert_eq!(report.recovered, 5);
@@ -707,7 +706,7 @@ mod tests {
         let items: Vec<u32> = (0..4).collect();
         let policy = SupervisePolicy {
             max_retries: 2,
-            ..fast_policy()
+            ..SupervisePolicy::default()
         };
         let (values, report) = par_map_supervised(2, &items, &policy, |i, &x, _| {
             if i == 2 {
@@ -730,7 +729,7 @@ mod tests {
         let items: Vec<u32> = (0..6).collect();
         let policy = SupervisePolicy {
             deadline: Some(Duration::from_millis(30)),
-            ..fast_policy()
+            ..SupervisePolicy::default()
         };
         let (values, report) = par_map_supervised(3, &items, &policy, |i, &x, _| {
             if i == 4 {
@@ -748,15 +747,14 @@ mod tests {
 
     #[test]
     fn supervised_backoff_is_bounded_and_monotone() {
-        let policy = SupervisePolicy::default();
         let mut last = Duration::ZERO;
         for attempt in 0..40 {
-            let b = policy.backoff_for(attempt);
+            let b = backoff(attempt);
             assert!(b >= last);
-            assert!(b <= policy.backoff_cap);
+            assert!(b <= BACKOFF_CAP);
             last = b;
         }
-        assert_eq!(policy.backoff_for(0), policy.backoff_base);
+        assert_eq!(backoff(0), BACKOFF_BASE);
     }
 
     #[test]
@@ -769,7 +767,7 @@ mod tests {
             let (values, report) = par_map_supervised_commit(
                 jobs,
                 &items,
-                &fast_policy(),
+                &SupervisePolicy::default(),
                 |i, &x, attempt| {
                     if (attempt as usize) < i % 3 {
                         Err(WorkerError::transient("flake"))
@@ -802,7 +800,7 @@ mod tests {
         let items: Vec<u32> = (0..6).collect();
         let policy = SupervisePolicy {
             deadline: Some(Duration::from_millis(30)),
-            ..fast_policy()
+            ..SupervisePolicy::default()
         };
         let committed: Mutex<Vec<usize>> = Mutex::new(Vec::new());
         let (values, report) = par_map_supervised_commit(

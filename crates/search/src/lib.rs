@@ -41,17 +41,19 @@ use slopt_ir::interp::SplitMix64;
 use slopt_ir::types::{FieldIdx, RecordType};
 use slopt_obs::Obs;
 
-/// Annealing-schedule and budget knobs of one chain.
+/// Initial annealing temperature, as a multiple of the FLG's mean
+/// absolute edge weight (the scale-free form keeps one schedule
+/// meaningful across workloads).
+const T_START: f64 = 1.0;
+
+/// Final annealing temperature, in the same relative units.
+const T_FINAL: f64 = 0.01;
+
+/// Budget knobs of one chain.
 #[derive(Copy, Clone, Debug)]
 pub struct SearchParams {
     /// Proposals per chain.
     pub steps: usize,
-    /// Initial temperature, as a multiple of the FLG's mean absolute
-    /// edge weight (the scale-free form keeps one default meaningful
-    /// across workloads).
-    pub t0: f64,
-    /// Final temperature, in the same relative units.
-    pub t_end: f64,
     /// Cache-line size the capacity rule packs against.
     pub line_size: u64,
 }
@@ -60,8 +62,6 @@ impl Default for SearchParams {
     fn default() -> Self {
         SearchParams {
             steps: 1500,
-            t0: 1.0,
-            t_end: 0.01,
             line_size: slopt_ir::DEFAULT_LINE_SIZE,
         }
     }
@@ -242,12 +242,12 @@ pub fn run_chain<V: FlgView>(
     let mut d = DeltaObjective::new(flg, record, start, params.line_size);
     let mut rng = SmallRng::seed_from_u64(seed);
     let scale = weight_scale(flg);
-    let t0 = (params.t0 * scale).max(f64::MIN_POSITIVE);
-    let t_end = (params.t_end * scale).max(f64::MIN_POSITIVE).min(t0);
+    let t0 = (T_START * scale).max(f64::MIN_POSITIVE);
+    let t_final = (T_FINAL * scale).max(f64::MIN_POSITIVE).min(t0);
     let cool = if params.steps <= 1 {
         1.0
     } else {
-        (t_end / t0).powf(1.0 / (params.steps - 1) as f64)
+        (t_final / t0).powf(1.0 / (params.steps - 1) as f64)
     };
 
     let mut t = t0;

@@ -21,8 +21,6 @@ const EXTRA_HELP: &str = "SERVE OPTIONS:
                          at most 65536); samples older than the window
                          decay out.
     --interval N         CC interval length in cycles (default 6000).
-    --reopt-ms N         Re-optimize the cached advice every N ms when the
-                         window changed (default 0: lazily on request).
     --offline DIR        Don't serve: fold every *.slshard under DIR and
                          print the advice an offline run yields (the
                          differential reference for the daemon).
@@ -38,13 +36,14 @@ const EXTRA_HELP: &str = "SERVE OPTIONS:
 
 The daemon's state directory is --checkpoint-dir (required in daemon
 mode); --resume refolds the journal there, reproducing the pre-crash
-window bit-exactly.";
+window bit-exactly. Advice is re-optimized lazily: an ADVISE request
+recomputes it when the window changed since the last one. --max-retries
+bounds both the re-optimization workers' retries and the journal's.";
 
 const EXTRAS: &[(&str, bool)] = &[
     ("--addr", true),
     ("--window", true),
     ("--interval", true),
-    ("--reopt-ms", true),
     ("--offline", true),
     ("--advice-out", true),
     ("--emit-samples", true),
@@ -186,9 +185,6 @@ fn daemon(
         spec,
         serve,
         jobs: args.jobs,
-        reopt_ms: flag(argv, "--reopt-ms").unwrap_or(0),
-        queue: 64,
-        max_retries: policy.max_retries,
         policy,
         plan,
     };

@@ -1,5 +1,5 @@
 //! The always-available advisory daemon: supervised ingest over TCP,
-//! lazy + periodic re-optimization, health/metrics endpoints, graceful
+//! lazy re-optimization on request, health/metrics endpoints, graceful
 //! drain.
 //!
 //! # Availability mechanics
@@ -49,6 +49,9 @@ pub const SITE_CONN: &str = "serve.conn";
 /// address (the CI harness binds port 0 and discovers it here).
 pub const ADDR_FILE: &str = "addr";
 
+/// Ingest queue depth (bounded; senders block when full).
+const QUEUE: usize = 64;
+
 /// Everything a daemon run needs, as plain data.
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
@@ -60,14 +63,8 @@ pub struct DaemonConfig {
     pub serve: ServeConfig,
     /// Worker threads for re-optimization (advice is jobs-invariant).
     pub jobs: usize,
-    /// Periodic re-optimization cadence; 0 computes advice lazily on
-    /// demand only.
-    pub reopt_ms: u64,
-    /// Ingest queue depth (bounded; senders block when full).
-    pub queue: usize,
-    /// Retry budget for transient journal I/O.
-    pub max_retries: u32,
-    /// Supervision policy for re-optimization workers.
+    /// Supervision policy for re-optimization workers; its
+    /// `max_retries` is also the retry budget for transient journal I/O.
     pub policy: SupervisePolicy,
     /// Seeded fault plan ([`SITE_CONN`], [`crate::state::SITE_JOURNAL`],
     /// [`crate::advice::SITE_REOPT`]).
@@ -85,9 +82,6 @@ impl DaemonConfig {
             },
             serve: ServeConfig::default(),
             jobs: 2,
-            reopt_ms: 0,
-            queue: 64,
-            max_retries: 6,
             policy: SupervisePolicy::default(),
             plan: FaultPlan::none(),
         }
@@ -188,7 +182,7 @@ impl DaemonHandle {
 
 /// Opens the state, runs the static analysis, binds the listener,
 /// publishes the bound address into the state directory, and starts the
-/// accept/fold/reopt threads. Returns once the daemon is serving.
+/// accept/fold threads. Returns once the daemon is serving.
 pub fn start(cfg: DaemonConfig, obs: &Obs) -> io::Result<DaemonHandle> {
     let state = ServeState::open(&cfg.spec, cfg.serve.clone(), obs)?;
     let mut advisor = Advisor::new(
@@ -219,28 +213,18 @@ pub fn start(cfg: DaemonConfig, obs: &Obs) -> io::Result<DaemonHandle> {
             advice: Mutex::new((rev, initial)),
             obs: obs.clone(),
             plan: cfg.plan.clone(),
-            max_retries: cfg.max_retries,
+            max_retries: cfg.policy.max_retries,
             shutdown: Arc::clone(&shutdown),
             frame_counter: AtomicU64::new(0),
         })
     };
 
-    let (ingest_tx, ingest_rx) = sync_channel::<Job>(cfg.queue.max(1));
+    let (ingest_tx, ingest_rx) = sync_channel::<Job>(QUEUE);
     let run_shared = Arc::clone(&shared);
     let run_shutdown = Arc::clone(&shutdown);
-    let reopt_ms = cfg.reopt_ms;
     let join = std::thread::Builder::new()
         .name("slopt-serve-run".to_string())
-        .spawn(move || {
-            run_loop(
-                listener,
-                run_shared,
-                run_shutdown,
-                ingest_tx,
-                ingest_rx,
-                reopt_ms,
-            )
-        })?;
+        .spawn(move || run_loop(listener, run_shared, run_shutdown, ingest_tx, ingest_rx))?;
 
     Ok(DaemonHandle {
         addr,
@@ -255,7 +239,6 @@ fn run_loop(
     shutdown: Arc<AtomicBool>,
     ingest_tx: SyncSender<Job>,
     ingest_rx: Receiver<Job>,
-    reopt_ms: u64,
 ) -> io::Result<()> {
     // The fold thread: the only writer of the windowed state, so batch
     // application is totally ordered — that order *is* the journal
@@ -284,34 +267,6 @@ fn run_loop(
                 let _ = job.reply.send(result);
             }
         })?;
-
-    // Periodic re-optimization: keeps the cached advice close to the
-    // live window even when nobody asks, so an ADVISE after a burst of
-    // ingest is served from cache instead of paying the reopt latency.
-    let reopt_handle = if reopt_ms > 0 {
-        let reopt_shared = Arc::clone(&shared);
-        let reopt_shutdown = Arc::clone(&shutdown);
-        Some(
-            std::thread::Builder::new()
-                .name("slopt-serve-reopt".to_string())
-                .spawn(move || {
-                    while !reopt_shutdown.load(Ordering::SeqCst) {
-                        std::thread::sleep(Duration::from_millis(reopt_ms.min(50)));
-                        // Sleep in short hops so shutdown stays prompt.
-                        let stale = {
-                            let cache = reopt_shared.advice.lock().unwrap();
-                            let state = reopt_shared.state.lock().unwrap();
-                            cache.0 != state.rev()
-                        };
-                        if stale {
-                            let _ = reopt_shared.advice();
-                        }
-                    }
-                })?,
-        )
-    } else {
-        None
-    };
 
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
     let mut conn_id: u64 = 0;
@@ -348,9 +303,6 @@ fn run_loop(
     }
     drop(ingest_tx);
     fold.join().expect("fold thread must not panic");
-    if let Some(h) = reopt_handle {
-        let _ = h.join();
-    }
     shared.obs.counter("serve.drained", 1);
     Ok(())
 }

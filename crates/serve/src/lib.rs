@@ -5,10 +5,11 @@
 //! length-prefixed TCP protocol ([`proto`]); the daemon folds them into
 //! a *windowed, decaying* Code Concurrency state
 //! ([`slopt_sample::WindowedConcurrency`]), journals every accepted
-//! batch for crash-consistent resume ([`state`]), periodically re-runs
-//! the Field Layout Graph + clustering pipeline over the live window
-//! under supervision ([`advice`]), and serves versioned advice plus
-//! health and Prometheus metrics endpoints ([`daemon`]).
+//! batch for crash-consistent resume ([`state`]), re-runs the Field
+//! Layout Graph + clustering pipeline over the live window under
+//! supervision when advice is requested after the window changed
+//! ([`advice`]), and serves versioned advice plus health and Prometheus
+//! metrics endpoints ([`daemon`]).
 //!
 //! The correctness contract (proved in DESIGN.md §17, enforced by the
 //! end-to-end tests and the CI soak): the advice returned after any

@@ -4,13 +4,14 @@
 //! the availability contract (garbage frames and contained panics never
 //! take the daemon down).
 
-use slopt_fault::FaultPlan;
+use slopt_fault::{FaultKind, FaultPlan};
 use slopt_ir::SupervisePolicy;
 use slopt_obs::Obs;
 use slopt_sample::write_shard;
 use slopt_serve::proto::{read_frame, write_frame, OP_ERR, OP_HEALTH, OP_INGEST, OP_OK};
 use slopt_serve::{
     advice::analysis_config, offline_advice, Client, DaemonConfig, IngestBatch, ServeConfig,
+    SITE_JOURNAL,
 };
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -105,7 +106,6 @@ fn advice_is_bit_identical_to_offline_across_interleavings_faults_and_resume() {
     dcfg.serve = cfg.clone();
     dcfg.jobs = 2;
     dcfg.plan = FaultPlan::parse("seed=11,transient=0.2,write-error=0.2").unwrap();
-    dcfg.max_retries = 24;
     dcfg.policy.max_retries = 24;
     let obs = Obs::aggregating();
     let handle = slopt_serve::start(dcfg, &obs).unwrap();
@@ -274,11 +274,45 @@ fn garbage_frames_and_contained_panics_never_kill_the_daemon() {
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
+/// The journal's retry budget is the supervision policy's
+/// `max_retries` (the `--max-retries` flag): a batch whose first journal
+/// write fails is refused under a budget of 0 and acknowledged under 24.
+#[test]
+fn journal_retries_follow_the_policy_budget() {
+    let plan = FaultPlan::parse("seed=1,write-error=0.5").unwrap();
+    assert!(
+        plan.fires(FaultKind::WriteError, SITE_JOURNAL, 0, 0),
+        "premise: the plan fails batch 0's first journal write"
+    );
+    let cfg = ServeConfig {
+        interval: 6_000,
+        window: 64,
+    };
+    let batch = real_batches(&cfg, 1, 4).swap_remove(0).swap_remove(0);
+    for (budget, acked) in [(0, false), (24, true)] {
+        let state_dir = temp_dir(&format!("journal_budget_{budget}"));
+        let mut dcfg = DaemonConfig::local(&state_dir, false);
+        dcfg.serve = cfg.clone();
+        dcfg.plan = plan.clone();
+        dcfg.policy.max_retries = budget;
+        let handle = slopt_serve::start(dcfg, &Obs::disabled()).unwrap();
+        let mut client = Client::new(handle.addr.to_string());
+        let reply = client.ingest(&batch, &FaultPlan::none(), 0, &Obs::disabled());
+        assert_eq!(reply.is_ok(), acked, "budget {budget}: {reply:?}");
+        let health = client.health().unwrap();
+        let rev = if acked { "rev=1 " } else { "rev=0 " };
+        assert!(health.contains(rev), "budget {budget}: {health}");
+        handle.stop().unwrap();
+        let _ = std::fs::remove_dir_all(&state_dir);
+    }
+}
+
 /// `slopt-serve`'s own flags go through the shared strict reader: a
 /// malformed value is a positional usage error (exit 2) pointing at
 /// `--help`, like every experiment binary's. So is a size outside its
 /// range — a zero window, interval, client or batch count, or a window
-/// too large to allocate — caught before any analysis runs.
+/// too large to allocate — caught before any analysis runs — and an
+/// unknown flag.
 #[test]
 fn malformed_serve_flags_exit_2_with_positional_messages() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_slopt-serve"))
@@ -300,12 +334,18 @@ fn malformed_serve_flags_exit_2_with_positional_messages() {
     // range check, these runs would panic or fail on the fold (exit 3).
     let missing = std::env::temp_dir().join("slopt_serve_no_such_shards");
     let missing = missing.to_str().unwrap();
-    for (flag, value) in [
-        ("--window", "0"),
-        ("--interval", "0"),
-        ("--clients", "0"),
-        ("--batches", "0"),
-        ("--window", "18446744073709551615"),
+    for (flag, value, expect) in [
+        ("--window", "0", "arg 4: --window must be "),
+        ("--interval", "0", "arg 4: --interval must be "),
+        ("--clients", "0", "arg 4: --clients must be "),
+        ("--batches", "0", "arg 4: --batches must be "),
+        (
+            "--window",
+            "18446744073709551615",
+            "arg 4: --window must be ",
+        ),
+        // Advice is computed on request; there is no re-optimization period.
+        ("--reopt-ms", "5", "arg 3: unknown flag `--reopt-ms`"),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_slopt-serve"))
             .args(["--offline", missing, flag, value])
@@ -318,8 +358,8 @@ fn malformed_serve_flags_exit_2_with_positional_messages() {
         );
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            err.contains("arg 4: ") && err.contains(&format!("{flag} must be ")),
-            "stderr must name {flag} at its value's position; got: {err}"
+            err.contains(expect),
+            "stderr must carry `{expect}`; got: {err}"
         );
     }
 }

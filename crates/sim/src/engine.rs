@@ -78,17 +78,17 @@ pub struct EngineConfig {
     pub seed: u64,
     /// Safety bound on total basic blocks executed across all CPUs.
     pub max_steps: u64,
-    /// Fixed sequencing cost charged per basic block (guarantees progress
-    /// even for blocks with no instructions).
-    pub block_cost: u64,
 }
+
+/// Fixed sequencing cost charged per basic block (guarantees progress
+/// even for blocks with no instructions).
+const BLOCK_COST: u64 = 1;
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             seed: 0,
             max_steps: 500_000_000,
-            block_cost: 1,
         }
     }
 }
@@ -267,7 +267,7 @@ pub fn run(
         let block = func.block(block_id);
         if entered {
             profile.record(func_id, block_id, 1);
-            state.time += cfg.block_cost;
+            state.time += BLOCK_COST;
         }
 
         let mut called: Option<FuncId> = None;
@@ -665,7 +665,7 @@ mod tests {
         struct Counting {
             blocks: u64,
             scripts: u64,
-            last_end: u64,
+            max_end: u64,
         }
         impl Observer for Counting {
             fn on_block(
@@ -679,7 +679,7 @@ mod tests {
             ) {
                 assert!(start <= end);
                 self.blocks += 1;
-                self.last_end = self.last_end.max(end);
+                self.max_end = self.max_end.max(end);
             }
             fn on_script_done(&mut self, _c: CpuId, _t: u64) {
                 self.scripts += 1;
@@ -705,7 +705,7 @@ mod tests {
         .unwrap();
         assert_eq!(obs.blocks, 1);
         assert_eq!(obs.scripts, 1);
-        assert_eq!(obs.last_end, r.makespan);
+        assert_eq!(obs.max_end, r.makespan);
     }
 
     #[test]

@@ -93,7 +93,6 @@ fn fault_cfg(fault: Fault) -> Option<FaultConfig> {
         policy: SupervisePolicy {
             max_retries: retries,
             deadline: None,
-            ..SupervisePolicy::default()
         },
     })
 }
