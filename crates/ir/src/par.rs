@@ -17,8 +17,8 @@
 //! dependencies.
 //!
 //! [`par_map`] is the *trusting* scheduler: a panicking worker kills the
-//! whole run. [`par_map_supervised`] is its production sibling: worker
-//! panics are contained with `catch_unwind`, transient failures retry
+//! whole run. [`par_map_supervised`] runs on it as a supervision layer:
+//! worker panics are contained with `catch_unwind`, transient failures retry
 //! with a bounded deterministic backoff, per-item deadlines are
 //! enforced at the attempt boundary, and items that still fail are
 //! quarantined into a structured [`FaultReport`] instead of aborting —
@@ -476,69 +476,29 @@ where
     F: Fn(usize, &I, u32) -> Result<T, WorkerError> + Sync,
     C: Fn(usize, &I, &T, u32) + Sync,
 {
-    let jobs = jobs.max(1).min(items.len().max(1));
-    let run_one = |i: usize, item: &I| {
+    let outcomes = par_map(jobs, items, |i, item| {
         let (value, stats) = run_supervised(policy, i, item, &f);
         if let Some(value) = &value {
             commit(i, item, value, stats.accepted_attempt);
         }
-        (i, value, stats)
-    };
-    let per_worker: Vec<Vec<(usize, Option<T>, ItemStats)>> = if jobs <= 1 {
-        vec![items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| run_one(i, item))
-            .collect()]
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(item) = items.get(i) else { break };
-                            out.push(run_one(i, item));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    // The supervisor itself must not panic; a worker
-                    // thread dying here means containment failed.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    };
+        (value, stats)
+    });
 
-    let mut slots: Vec<Option<T>> = (0..items.len()).map(|_| None).collect();
+    // Folding in item order keeps `poisoned` index-sorted.
     let mut report = FaultReport {
         items: items.len(),
         ..FaultReport::default()
     };
-    let mut failures: Vec<ItemFailure> = Vec::new();
-    for chunk in per_worker {
-        for (i, value, stats) in chunk {
-            report.retries += stats.retries;
-            report.recovered += usize::from(stats.recovered);
-            report.panics_contained += stats.panics;
-            report.deadline_hits += u64::from(stats.deadline_hit);
-            if let Some(failure) = stats.failure {
-                failures.push(failure);
-            }
-            slots[i] = value;
-        }
+    let mut slots = Vec::with_capacity(items.len());
+    for (value, stats) in outcomes {
+        report.retries += stats.retries;
+        report.recovered += usize::from(stats.recovered);
+        report.panics_contained += stats.panics;
+        report.deadline_hits += u64::from(stats.deadline_hit);
+        report.completed += usize::from(value.is_some());
+        report.poisoned.extend(stats.failure);
+        slots.push(value);
     }
-    failures.sort_by_key(|f| f.index);
-    report.completed = slots.iter().filter(|s| s.is_some()).count();
-    report.poisoned = failures;
     (slots, report)
 }
 

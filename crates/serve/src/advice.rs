@@ -58,8 +58,6 @@ pub fn analysis_config(cfg: &ServeConfig) -> AnalysisConfig {
 pub struct Advice {
     /// The full `slopt-advice/1` document.
     pub text: String,
-    /// The version token (also the first header field).
-    pub version: String,
     /// Records whose suggestion was holed by a permanent fault or
     /// deadline (rendered as `degraded` in the document).
     pub holed: usize,
@@ -168,18 +166,14 @@ impl Advisor {
                 }
             }
         }
-        Advice {
-            text,
-            version,
-            holed,
-        }
+        Advice { text, holed }
     }
 }
 
 /// The version token: an FNV-1a digest of the retained cells and the
 /// window placement. Two states with the same retained samples produce
 /// the same token, however they were reached.
-pub fn version_token(win: &WindowedConcurrency, cells: &[(u128, u64)]) -> String {
+fn version_token(win: &WindowedConcurrency, cells: &[(u128, u64)]) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {

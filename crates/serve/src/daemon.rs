@@ -11,14 +11,17 @@
 //! * **Typed protocol errors** — malformed frames become
 //!   `warn.serve.proto.<reason>` counters plus an [`OP_ERR`] reply when
 //!   framing survives, or a closed connection when it does not.
-//! * **Bounded queue, real backpressure** — ingest flows through a
-//!   `sync_channel` of fixed depth into the single fold thread; when
-//!   folding falls behind, senders block, which blocks their
-//!   connection, which backpressures the collector through TCP.
+//! * **One lock, real backpressure** — the windowed state, the advisor
+//!   and the cached advice sit behind one `Mutex`. An INGEST frame
+//!   folds on its own connection thread under that lock, so batches
+//!   apply in one total order, and that order is the journal order a
+//!   resume replays. A connection waiting for the lock does not read
+//!   its socket, which backpressures the collector through TCP. A panic
+//!   while the lock is held poisons it: every later request then gets
+//!   the contained-panic error reply instead of half-applied state.
 //! * **Graceful drain** — on shutdown the acceptor stops, in-flight
 //!   requests finish (connections poll the drain flag on a read
-//!   timeout), queued batches fold, and only then does the run loop
-//!   return.
+//!   timeout), and only then does the run loop return.
 //!
 //! [`OP_ERR`]: crate::proto::OP_ERR
 
@@ -30,7 +33,6 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -48,9 +50,6 @@ pub const SITE_CONN: &str = "serve.conn";
 /// File inside the state directory where the daemon publishes its bound
 /// address (the CI harness binds port 0 and discovers it here).
 pub const ADDR_FILE: &str = "addr";
-
-/// Ingest queue depth (bounded; senders block when full).
-const QUEUE: usize = 64;
 
 /// Everything a daemon run needs, as plain data.
 #[derive(Clone, Debug)]
@@ -88,11 +87,16 @@ impl DaemonConfig {
     }
 }
 
-struct Shared {
-    state: Mutex<ServeState>,
-    advisor: Mutex<Advisor>,
+/// Everything a request reads or changes, behind the daemon's one lock.
+struct Live {
+    state: ServeState,
+    advisor: Advisor,
     /// Cached advice keyed by the state revision that produced it.
-    advice: Mutex<(u64, Arc<Advice>)>,
+    advice: (u64, Arc<Advice>),
+}
+
+struct Shared {
+    live: Mutex<Live>,
     obs: Obs,
     plan: FaultPlan,
     max_retries: u32,
@@ -101,25 +105,40 @@ struct Shared {
 }
 
 impl Shared {
+    /// Folds one batch under the lock and publishes the
+    /// retained-sample gauge.
+    fn ingest(&self, batch: &IngestBatch) -> io::Result<Applied> {
+        let mut live = self.live.lock().unwrap();
+        let applied = live
+            .state
+            .apply(batch, &self.plan, self.max_retries, &self.obs);
+        let retained = live.state.window_stats().retained_samples();
+        self.obs.gauge("serve.retained", retained as f64);
+        applied
+    }
+
     /// Returns advice for the current state revision, recomputing only
-    /// when stale. The cache lock is held across recomputation so
-    /// concurrent requests serialize instead of duplicating the reopt.
+    /// when stale. The lock is held across recomputation so concurrent
+    /// requests serialize instead of duplicating the reopt.
     fn advice(&self) -> Arc<Advice> {
-        let mut cache = self.advice.lock().unwrap();
-        let mut state = self.state.lock().unwrap();
-        if cache.0 == state.rev() {
-            return Arc::clone(&cache.1);
+        let mut live = self.live.lock().unwrap();
+        let Live {
+            state,
+            advisor,
+            advice,
+        } = &mut *live;
+        if advice.0 != state.rev() {
+            *advice = (
+                state.rev(),
+                Arc::new(advisor.advise(state.window(), &self.obs)),
+            );
+            self.obs.counter("serve.reopt.runs", 1);
         }
-        let rev = state.rev();
-        let mut advisor = self.advisor.lock().unwrap();
-        let advice = Arc::new(advisor.advise(state.window(), &self.obs));
-        *cache = (rev, Arc::clone(&advice));
-        self.obs.counter("serve.reopt.runs", 1);
-        advice
+        Arc::clone(&advice.1)
     }
 
     fn health_line(&self) -> String {
-        let state = self.state.lock().unwrap();
+        let state = &self.live.lock().unwrap().state;
         let w = state.window_stats();
         let (lo, hi) = w.window_range().unwrap_or((0, 0));
         format!(
@@ -139,19 +158,13 @@ impl Shared {
     }
 }
 
-/// A ingest job traveling from a connection to the fold thread.
-struct Job {
-    batch: IngestBatch,
-    reply: SyncSender<io::Result<Applied>>,
-}
-
 /// A started daemon: its bound address and the means to stop it.
 #[derive(Debug)]
 pub struct DaemonHandle {
     /// The actually-bound address (resolves `:0`).
     pub addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<io::Result<()>>>,
+    join: std::thread::JoinHandle<io::Result<()>>,
 }
 
 impl DaemonHandle {
@@ -162,29 +175,23 @@ impl DaemonHandle {
     }
 
     /// Initiates a graceful drain and waits for the run loop to finish.
-    pub fn stop(mut self) -> io::Result<()> {
+    pub fn stop(self) -> io::Result<()> {
         self.shutdown.store(true, Ordering::SeqCst);
-        match self.join.take() {
-            Some(join) => join.join().expect("daemon run loop must not panic"),
-            None => Ok(()),
-        }
+        self.wait()
     }
 
     /// Waits for the run loop to finish without initiating shutdown
     /// (it ends on its own after a drain request or shutdown signal).
-    pub fn wait(mut self) -> io::Result<()> {
-        match self.join.take() {
-            Some(join) => join.join().expect("daemon run loop must not panic"),
-            None => Ok(()),
-        }
+    pub fn wait(self) -> io::Result<()> {
+        self.join.join().expect("daemon run loop must not panic")
     }
 }
 
 /// Opens the state, runs the static analysis, binds the listener,
 /// publishes the bound address into the state directory, and starts the
-/// accept/fold threads. Returns once the daemon is serving.
+/// accept thread. Returns once the daemon is serving.
 pub fn start(cfg: DaemonConfig, obs: &Obs) -> io::Result<DaemonHandle> {
-    let state = ServeState::open(&cfg.spec, cfg.serve.clone(), obs)?;
+    let mut state = ServeState::open(&cfg.spec, cfg.serve.clone(), obs)?;
     let mut advisor = Advisor::new(
         &cfg.serve,
         cfg.jobs,
@@ -199,88 +206,47 @@ pub fn start(cfg: DaemonConfig, obs: &Obs) -> io::Result<DaemonHandle> {
     std::fs::create_dir_all(&cfg.spec.dir)?;
     std::fs::write(cfg.spec.dir.join(ADDR_FILE), format!("{addr}\n"))?;
 
+    // Advice is available from the first request on: compute the
+    // initial document (possibly over resumed state) before accepting
+    // connections.
+    let initial = Arc::new(advisor.advise(state.window(), obs));
     let shutdown = Arc::new(AtomicBool::new(false));
-    let shared = {
-        let mut state = state;
-        // Advice is available from the first request on: compute the
-        // initial document (possibly over resumed state) before
-        // accepting connections.
-        let initial = Arc::new(advisor.advise(state.window(), obs));
-        let rev = state.rev();
-        Arc::new(Shared {
-            state: Mutex::new(state),
-            advisor: Mutex::new(advisor),
-            advice: Mutex::new((rev, initial)),
-            obs: obs.clone(),
-            plan: cfg.plan.clone(),
-            max_retries: cfg.policy.max_retries,
-            shutdown: Arc::clone(&shutdown),
-            frame_counter: AtomicU64::new(0),
-        })
-    };
+    let shared = Arc::new(Shared {
+        live: Mutex::new(Live {
+            advice: (state.rev(), initial),
+            state,
+            advisor,
+        }),
+        obs: obs.clone(),
+        plan: cfg.plan.clone(),
+        max_retries: cfg.policy.max_retries,
+        shutdown: Arc::clone(&shutdown),
+        frame_counter: AtomicU64::new(0),
+    });
 
-    let (ingest_tx, ingest_rx) = sync_channel::<Job>(QUEUE);
-    let run_shared = Arc::clone(&shared);
-    let run_shutdown = Arc::clone(&shutdown);
     let join = std::thread::Builder::new()
         .name("slopt-serve-run".to_string())
-        .spawn(move || run_loop(listener, run_shared, run_shutdown, ingest_tx, ingest_rx))?;
+        .spawn(move || run_loop(listener, shared))?;
 
     Ok(DaemonHandle {
         addr,
         shutdown,
-        join: Some(join),
+        join,
     })
 }
 
-fn run_loop(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    shutdown: Arc<AtomicBool>,
-    ingest_tx: SyncSender<Job>,
-    ingest_rx: Receiver<Job>,
-) -> io::Result<()> {
-    // The fold thread: the only writer of the windowed state, so batch
-    // application is totally ordered — that order *is* the journal
-    // order a resume replays.
-    let fold_shared = Arc::clone(&shared);
-    let fold = std::thread::Builder::new()
-        .name("slopt-serve-fold".to_string())
-        .spawn(move || {
-            while let Ok(job) = ingest_rx.recv() {
-                let result = {
-                    let mut state = fold_shared.state.lock().unwrap();
-                    let r = state.apply(
-                        &job.batch,
-                        &fold_shared.plan,
-                        fold_shared.max_retries,
-                        &fold_shared.obs,
-                    );
-                    let w = state.window_stats();
-                    fold_shared
-                        .obs
-                        .gauge("serve.retained", w.retained_samples() as f64);
-                    r
-                };
-                // The requester may have died (contained panic): a
-                // failed reply send is not an error.
-                let _ = job.reply.send(result);
-            }
-        })?;
-
+fn run_loop(listener: TcpListener, shared: Arc<Shared>) -> io::Result<()> {
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
     let mut conn_id: u64 = 0;
-    while !shutdown.load(Ordering::SeqCst) {
+    while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
                 conn_id += 1;
                 let conn_shared = Arc::clone(&shared);
-                let conn_tx = ingest_tx.clone();
-                let id = conn_id;
                 conns.push(
                     std::thread::Builder::new()
-                        .name(format!("slopt-serve-conn-{id}"))
-                        .spawn(move || handle_conn(stream, &conn_shared, conn_tx))?,
+                        .name(format!("slopt-serve-conn-{conn_id}"))
+                        .spawn(move || handle_conn(stream, &conn_shared))?,
                 );
                 conns.retain(|h| !h.is_finished());
             }
@@ -297,17 +263,15 @@ fn run_loop(
 
     // Drain: no new connections; existing ones observe the flag at
     // their next read timeout and close after finishing the in-flight
-    // request. Their queued batches fold before the fold thread exits.
+    // request.
     for conn in conns {
         let _ = conn.join();
     }
-    drop(ingest_tx);
-    fold.join().expect("fold thread must not panic");
     shared.obs.counter("serve.drained", 1);
     Ok(())
 }
 
-fn handle_conn(stream: TcpStream, shared: &Shared, ingest_tx: SyncSender<Job>) {
+fn handle_conn(stream: TcpStream, shared: &Shared) {
     let mut stream = stream;
     if stream
         .set_read_timeout(Some(Duration::from_millis(100)))
@@ -344,7 +308,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared, ingest_tx: SyncSender<Job>) {
         // Panic containment boundary: whatever a handler does to this
         // frame, the connection (and the daemon) survives it.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle_frame(&mut stream, shared, &ingest_tx, frame)
+            handle_frame(&mut stream, shared, frame)
         }));
         match outcome {
             Ok(ConnFlow::Continue) => {}
@@ -366,12 +330,7 @@ enum ConnFlow {
     Close,
 }
 
-fn handle_frame(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    ingest_tx: &SyncSender<Job>,
-    (op, payload): (u8, Vec<u8>),
-) -> ConnFlow {
+fn handle_frame(stream: &mut TcpStream, shared: &Shared, (op, payload): (u8, Vec<u8>)) -> ConnFlow {
     match op {
         OP_INGEST => {
             let frame_idx = shared.frame_counter.fetch_add(1, Ordering::Relaxed);
@@ -392,19 +351,8 @@ fn handle_frame(
                     return ConnFlow::Continue;
                 }
             };
-            let (reply_tx, reply_rx) = sync_channel(1);
-            let job = Job {
-                batch,
-                reply: reply_tx,
-            };
-            // Bounded queue: this send blocks when the fold thread is
-            // behind — backpressure, not an unbounded buffer.
-            if ingest_tx.send(job).is_err() {
-                let _ = write_frame(stream, OP_ERR, b"draining");
-                return ConnFlow::Close;
-            }
-            match reply_rx.recv() {
-                Ok(Ok(applied)) => {
+            match shared.ingest(&batch) {
+                Ok(applied) => {
                     let ack = format!(
                         "accepted={} late={} dup={}",
                         applied.accepted,
@@ -413,16 +361,12 @@ fn handle_frame(
                     );
                     let _ = write_frame(stream, OP_OK, ack.as_bytes());
                 }
-                Ok(Err(e)) => {
+                Err(e) => {
                     let _ = write_frame(
                         stream,
                         OP_ERR,
                         format!("ingest failed: {e}; retry").as_bytes(),
                     );
-                }
-                Err(_) => {
-                    let _ = write_frame(stream, OP_ERR, b"fold thread gone (draining)");
-                    return ConnFlow::Close;
                 }
             }
             ConnFlow::Continue

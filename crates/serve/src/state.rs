@@ -82,7 +82,6 @@ pub struct Applied {
 /// scaffolding.
 #[derive(Debug)]
 pub struct ServeState {
-    cfg: ServeConfig,
     win: WindowedConcurrency,
     journal_dir: PathBuf,
     /// Fold order of the next journaled batch.
@@ -138,7 +137,6 @@ impl ServeState {
                 },
                 cfg.window,
             ),
-            cfg,
             journal_dir,
             next_order: 0,
             applied: HashSet::new(),
@@ -262,11 +260,6 @@ impl ServeState {
             late,
             duplicate: false,
         })
-    }
-
-    /// The fold configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
     }
 
     /// Monotonic state revision (bumps on every non-duplicate fold).

@@ -150,10 +150,24 @@ fn advice_is_bit_identical_to_offline_across_interleavings_faults_and_resume() {
     assert!(health.starts_with("ok "), "{health}");
     handle.stop().unwrap();
 
+    // The lock totally orders folds: one journal file per acknowledged
+    // non-duplicate batch, numbered densely in fold order; the three
+    // redeliveries are not journaled.
+    let journal = state_dir.join("journal");
+    let mut orders: Vec<String> = std::fs::read_dir(&journal)
+        .unwrap()
+        .map(|e| {
+            let name = e.unwrap().file_name().into_string().unwrap();
+            name.split('-').next().unwrap().to_string()
+        })
+        .collect();
+    orders.sort();
+    let dense: Vec<String> = (0..12).map(|o| format!("j{o:012}")).collect();
+    assert_eq!(orders, dense, "journal must hold exactly fold orders 0..12");
+
     // Simulate a kill-9 mid-append: a torn journal file appears. Resume
     // must drop it (counted) and reproduce the same advice — at yet
     // another --jobs.
-    let journal = state_dir.join("journal");
     std::fs::write(
         journal.join("j000000999999-00000000000000ff-0000000000000000.slshard"),
         b"SLSHARD1 torn mid-write",
@@ -181,7 +195,8 @@ fn advice_is_bit_identical_to_offline_across_interleavings_faults_and_resume() {
 /// Availability: garbage frames get typed errors, injected connection
 /// panics are contained per-frame, the metrics endpoint serves a valid
 /// Prometheus exposition that counts all of it, and a client-initiated
-/// drain shuts the daemon down cleanly with every queued batch folded.
+/// drain shuts the daemon down cleanly after every acknowledged batch
+/// has folded.
 #[test]
 fn garbage_frames_and_contained_panics_never_kill_the_daemon() {
     let state_dir = temp_dir("robust");
@@ -265,8 +280,8 @@ fn garbage_frames_and_contained_panics_never_kill_the_daemon() {
         // provably still alive because every request above succeeded.
     }
 
-    // Client-initiated drain: the daemon acks, folds what is queued,
-    // and the run loop exits cleanly.
+    // Client-initiated drain: the daemon acks, in-flight requests
+    // finish, and the run loop exits cleanly.
     let ack = client.drain().unwrap();
     assert!(ack.contains("draining"), "{ack}");
     handle.wait().unwrap();
